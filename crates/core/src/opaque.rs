@@ -28,7 +28,9 @@ use crate::api::{
     XABORT_TS_CHANGED, XABORT_UNDO_FULL,
 };
 use crate::ctx::{RawCtx, SigPair, SoftwareCtx};
-use crate::parthtm::{capacity_class, run_global_lock, wait_glock_released, GroupRun};
+use crate::parthtm::{
+    capacity_class, commit_global_lock, run_global_lock, wait_glock_released, GroupRun,
+};
 use crate::planner::{build_plan, FastExit, FastProfile, FastRoute, PlanChange, PlanStep};
 use crate::runtime::{ThreadArena, TmRuntime, TmThread};
 use crate::undo::UndoLog;
@@ -596,16 +598,15 @@ impl<'r> PartHtmO<'r> {
     fn drive<W: Workload>(&mut self, w: &mut W) -> CommitPath {
         let cfg = self.th.rt.config().clone();
         if w.is_irrevocable() {
-            self.th.stats.fallbacks_gl += 1;
-            run_global_lock(&self.th, w, true);
-            w.after_commit();
-            self.th.stats.record_commit(CommitPath::GlobalLock);
-            return CommitPath::GlobalLock;
+            return commit_global_lock(&mut self.th, w, true);
         }
-        // Single fast-path routing decision (see `planner::FastProfile`).
+        // Single routing decision (see `planner::FastProfile`).
         let slot = self.th.rt.sites().slot(w.site());
         let prior = w.profiled_resource_limited();
         let route = self.profile.route(&cfg, slot, prior, &mut self.th.stats);
+        if route == FastRoute::Serialize {
+            return commit_global_lock(&mut self.th, w, true);
+        }
         if let FastRoute::Attempt { budget } = route {
             let mut fails = 0;
             loop {
@@ -630,11 +631,7 @@ impl<'r> PartHtmO<'r> {
                                 self.th.stats.adaptive_retry_saves +=
                                     (cfg.fast_retries - budget) as u64;
                             }
-                            self.th.stats.fallbacks_gl += 1;
-                            run_global_lock(&self.th, w, true);
-                            w.after_commit();
-                            self.th.stats.record_commit(CommitPath::GlobalLock);
-                            return CommitPath::GlobalLock;
+                            return commit_global_lock(&mut self.th, w, true);
                         }
                     }
                 }
@@ -650,12 +647,12 @@ impl<'r> PartHtmO<'r> {
                 }
                 Err(()) => {
                     gfails += 1;
-                    if gfails >= cfg.part_retries {
-                        self.th.stats.fallbacks_gl += 1;
-                        run_global_lock(&self.th, w, true);
-                        w.after_commit();
-                        self.th.stats.record_commit(CommitPath::GlobalLock);
-                        return CommitPath::GlobalLock;
+                    // Learned futility ends the loop early (see the base executor).
+                    let futile = cfg.adaptive_plan && slot.futile();
+                    if gfails >= cfg.part_retries || futile {
+                        self.th.stats.adaptive_retry_saves +=
+                            u64::from(cfg.part_retries.saturating_sub(gfails));
+                        return commit_global_lock(&mut self.th, w, true);
                     }
                     spin_work(cfg.backoff_units << gfails.min(6));
                     htm_sim::vclock::yield_now();

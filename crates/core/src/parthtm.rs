@@ -39,6 +39,20 @@ pub fn run_global_lock<W: Workload>(th: &TmThread<'_>, w: &mut W, mask_values: b
     th.hw.nt_write(rt.glock(), 0);
 }
 
+/// An executor's exit to the slow path: count the fallback, commit `w` under
+/// the global lock ([`run_global_lock`]) and record the commit.
+pub(crate) fn commit_global_lock<W: Workload>(
+    th: &mut TmThread<'_>,
+    w: &mut W,
+    mask_values: bool,
+) -> CommitPath {
+    th.stats.fallbacks_gl += 1;
+    run_global_lock(th, w, mask_values);
+    w.after_commit();
+    th.stats.record_commit(CommitPath::GlobalLock);
+    CommitPath::GlobalLock
+}
+
 /// Anti-lemming retry policy (§7, after the paper’s reference \[38\]): never retry in hardware while the
 /// global lock is held — wait for its release first.
 pub fn wait_glock_released(th: &TmThread<'_>) {
@@ -553,9 +567,10 @@ impl<'r> PartHtm<'r> {
         Ok(())
     }
 
-    /// The three-path driver shared with [`crate::PartHtmO`] (which passes its own
-    /// path closures): fast → partitioned on resource failure; fast → slow when
-    /// conflicts persist; partitioned → slow after bounded global aborts.
+    /// The three-path driver: fast → partitioned on resource failure; fast →
+    /// slow when conflicts persist; partitioned → slow after bounded global
+    /// aborts, or as soon as the site is learned futile. A futile site skips
+    /// both speculative paths outside its probe ticks.
     fn drive<W: Workload>(
         &mut self,
         w: &mut W,
@@ -565,20 +580,19 @@ impl<'r> PartHtm<'r> {
     ) -> CommitPath {
         let cfg = self.th.rt.config().clone();
         if w.is_irrevocable() {
-            self.th.stats.fallbacks_gl += 1;
-            run_global_lock(&self.th, w, mask_values);
-            w.after_commit();
-            self.th.stats.record_commit(CommitPath::GlobalLock);
-            return CommitPath::GlobalLock;
+            return commit_global_lock(&mut self.th, w, mask_values);
         }
-        // The single fast-path routing decision (config override, static hint,
-        // learned demotion or legacy streak — see `planner::FastProfile`). The
-        // controller's paper anchor: the static profiler routes "likely (or
-        // certainly) failing" transactions straight to the partitioned path
-        // (§4); here that verdict is learned from observed abort codes.
+        // The single routing decision (config override, static hint, learned
+        // demotion or futility, legacy streak — see `planner::FastProfile`).
+        // The controller's paper anchor: the static profiler routes "likely
+        // (or certainly) failing" transactions straight to the partitioned
+        // path (§4); here that verdict is learned from observed abort codes.
         let slot = self.th.rt.sites().slot(w.site());
         let prior = w.profiled_resource_limited();
         let route = self.profile.route(&cfg, slot, prior, &mut self.th.stats);
+        if route == FastRoute::Serialize {
+            return commit_global_lock(&mut self.th, w, mask_values);
+        }
         if let FastRoute::Attempt { budget } = route {
             let mut fails = 0;
             loop {
@@ -591,7 +605,7 @@ impl<'r> PartHtm<'r> {
                         return CommitPath::Htm;
                     }
                     Err(code) if code.is_resource_failure() => {
-                        // Capacity or interrupt: this is the class Part-HTM exists
+                        // Capacity or timer: this is the class Part-HTM exists
                         // for — partition it.
                         self.profile.note_exit(&cfg, slot, FastExit::Resource);
                         self.th.stats.fallbacks_partitioned += 1;
@@ -608,11 +622,7 @@ impl<'r> PartHtm<'r> {
                                 self.th.stats.adaptive_retry_saves +=
                                     (cfg.fast_retries - budget) as u64;
                             }
-                            self.th.stats.fallbacks_gl += 1;
-                            run_global_lock(&self.th, w, mask_values);
-                            w.after_commit();
-                            self.th.stats.record_commit(CommitPath::GlobalLock);
-                            return CommitPath::GlobalLock;
+                            return commit_global_lock(&mut self.th, w, mask_values);
                         }
                     }
                 }
@@ -628,12 +638,13 @@ impl<'r> PartHtm<'r> {
                 }
                 Err(()) => {
                     gfails += 1;
-                    if gfails >= cfg.part_retries {
-                        self.th.stats.fallbacks_gl += 1;
-                        run_global_lock(&self.th, w, mask_values);
-                        w.after_commit();
-                        self.th.stats.record_commit(CommitPath::GlobalLock);
-                        return CommitPath::GlobalLock;
+                    // A site learned futile mid-loop stops here: its single
+                    // segments do not fit, so more global retries cannot help.
+                    let futile = cfg.adaptive_plan && slot.futile();
+                    if gfails >= cfg.part_retries || futile {
+                        self.th.stats.adaptive_retry_saves +=
+                            u64::from(cfg.part_retries.saturating_sub(gfails));
+                        return commit_global_lock(&mut self.th, w, mask_values);
                     }
                     // Exponential backoff (Fig. 1 line 59).
                     spin_work(cfg.backoff_units << gfails.min(6));

@@ -7,7 +7,7 @@
 //! runtime controller fed by the abort codes the simulator already classifies
 //! ([`htm_sim::AbortCode`]): every workload keeps declaring its
 //! finest-granularity segments, and a lock-free table of per-site profiles
-//! ([`SiteTable`]) makes three decisions per transaction:
+//! ([`SiteTable`]) makes four decisions per transaction:
 //!
 //! 1. **Futility demotion** — sites whose fast attempts persistently die of
 //!    resource failures skip the fast path directly, re-probing every
@@ -28,6 +28,12 @@
 //!    scaled down from the paper defaults when the observed odds say the
 //!    retries are futile (persistent conflict exhaustion on the fast path,
 //!    persistent capacity trouble on the sub path), clamped to `[1, default]`.
+//! 4. **Global-lock rescue** — a site whose *single* declared segments keep
+//!    giving up on a capacity-class abort cannot be split any further, so the
+//!    partitioned path is futile there: once its futility EWMA crosses
+//!    [`DEMOTE_THRESHOLD`] the site goes straight to the global lock
+//!    ([`FastRoute::Serialize`]), still probing the speculative paths every
+//!    [`PROBE_PERIOD`]th transaction; one clean partitioned commit re-admits it.
 //!
 //! `TmConfig::adaptive_plan: false` bypasses the table entirely and pins
 //! today's static behaviour — hint-is-absolute fast-path routing, the legacy
@@ -118,6 +124,10 @@ pub struct SiteSlot {
     /// EWMA of partitioned runs that hit capacity trouble (a group split or a
     /// capacity-class sub-HTM give-up).
     sub_cap_ewma: AtomicU32,
+    /// EWMA of partitioned runs that ended in a single-segment capacity-class
+    /// give-up (sampled `false` by clean partitioned commits): the odds that
+    /// only the global lock can commit this site.
+    fut_ewma: AtomicU32,
     /// Current merge factor: declared segments per planned sub-HTM group.
     group: AtomicU32,
     /// Largest group size not known to split (merges never plan past it).
@@ -138,6 +148,7 @@ impl SiteSlot {
             res_ewma: AtomicU32::new(0),
             exh_ewma: AtomicU32::new(0),
             sub_cap_ewma: AtomicU32::new(0),
+            fut_ewma: AtomicU32::new(0),
             group: AtomicU32::new(init_group.clamp(1, cap)),
             limit: AtomicU32::new(cap),
             credit: AtomicU32::new(0),
@@ -177,6 +188,14 @@ impl SiteSlot {
         } else {
             prior == Some(true)
         }
+    }
+
+    /// Has this site learned that its partitioned path is futile (single
+    /// segments persistently die of capacity-class aborts), so that only the
+    /// global lock commits it?
+    #[inline]
+    pub fn futile(&self) -> bool {
+        self.fut_ewma.load(Relaxed) >= DEMOTE_THRESHOLD
     }
 
     /// Feed one fast-path episode outcome.
@@ -242,10 +261,12 @@ impl SiteSlot {
     }
 
     /// A sub-HTM transaction gave up after exhausting its retries on a
-    /// capacity-class code with nothing left to split (group of 1).
+    /// capacity-class code with nothing left to split (group of 1). Feeds the
+    /// futility EWMA behind [`FastRoute::Serialize`].
     pub fn record_sub_futility(&self) {
         self.credit.store(0, Relaxed);
         Self::ewma(&self.sub_cap_ewma, true);
+        Self::ewma(&self.fut_ewma, true);
         self.set_flag(F_SUBCAP);
     }
 
@@ -255,6 +276,7 @@ impl SiteSlot {
     /// [`PlanChange::Merged`] when the plan grew.
     pub fn record_clean_commit(&self, max_run: u32) -> PlanChange {
         Self::ewma(&self.sub_cap_ewma, false);
+        Self::ewma(&self.fut_ewma, false);
         self.set_flag(F_SUBCAP);
         let group = self.group.load(Relaxed);
         let ceiling = max_run.clamp(1, self.cap);
@@ -455,6 +477,10 @@ pub enum FastRoute {
     },
     /// Skip straight to the partitioned path.
     Demote,
+    /// Skip both speculative paths and commit under the global lock: the
+    /// site's single segments are learned not to fit (see
+    /// [`SiteSlot::futile`]).
+    Serialize,
 }
 
 /// Per-executor fast-path profile: owns the legacy (static-mode) streak state
@@ -473,7 +499,11 @@ impl FastProfile {
     /// Decide the fast-path route for one transaction. Counts a
     /// [`TmStats::site_demotions`] whenever the *profiler* (learned history,
     /// static hint or legacy streak — not the `skip_fast` config override)
-    /// routes the transaction straight to the partitioned path.
+    /// routes the transaction straight to the partitioned path or, on a site
+    /// learned futile, straight to the global lock. Every
+    /// [`PROBE_PERIOD`]th tick of a demoted or futile site still attempts
+    /// the fast path. [`FastRoute::Serialize`] is never returned under
+    /// `adaptive_plan: false`.
     pub fn route(
         &mut self,
         cfg: &TmConfig,
@@ -498,11 +528,15 @@ impl FastProfile {
                 budget: cfg.fast_retries,
             };
         }
-        let tick = slot.tick();
+        let probe = slot.tick().is_multiple_of(PROBE_PERIOD);
+        if slot.futile() && !probe {
+            stats.site_demotions += 1;
+            return FastRoute::Serialize;
+        }
         if cfg.skip_fast {
             return FastRoute::Demote;
         }
-        if slot.wants_demotion(prior) && !tick.is_multiple_of(PROBE_PERIOD) {
+        if slot.wants_demotion(prior) && !probe {
             stats.site_demotions += 1;
             return FastRoute::Demote;
         }
@@ -721,10 +755,132 @@ mod tests {
             match p.route(&cfg, slot, None, &mut stats) {
                 FastRoute::Demote => skipped += 1,
                 FastRoute::Attempt { .. } => probed += 1,
+                FastRoute::Serialize => unreachable!("static mode never serializes"),
             }
         }
         assert_eq!(probed, 2, "exactly the 64th-transaction probes");
         assert_eq!(skipped, 126);
         assert_eq!(stats.site_demotions, 127);
+    }
+
+    /// Feed single-segment capacity give-ups until the site is learned
+    /// futile; returns how many it took.
+    fn futile_after(slot: &SiteSlot) -> u32 {
+        let mut n = 0;
+        while !slot.futile() {
+            slot.record_sub_futility();
+            n += 1;
+            assert!(n < 100, "futility never learned");
+        }
+        n
+    }
+
+    /// Route `n` transactions; returns `(attempts, demotions, serializations)`.
+    fn route_n(cfg: &TmConfig, slot: &SiteSlot, n: usize, stats: &mut TmStats) -> [u32; 3] {
+        let mut p = FastProfile::default();
+        let mut seen = [0; 3];
+        for _ in 0..n {
+            match p.route(cfg, slot, None, stats) {
+                FastRoute::Attempt { .. } => seen[0] += 1,
+                FastRoute::Demote => seen[1] += 1,
+                FastRoute::Serialize => seen[2] += 1,
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn futility_crossing_the_threshold_serializes() {
+        let cfg = TmConfig::default();
+        let t = SiteTable::new(1);
+        let s = t.slot(11);
+        let mut stats = TmStats::default();
+        s.tick(); // past tick 0, which is a probe tick
+        assert_eq!(route_n(&cfg, s, 1, &mut stats), [1, 0, 0], "unlearned site");
+        // Exactly one paper `part_retries` budget of give-ups: the first
+        // futile transaction pays the full partitioned retry loop.
+        assert_eq!(futile_after(s), cfg.part_retries);
+        assert_eq!(route_n(&cfg, s, 1, &mut stats), [0, 0, 1]);
+        assert_eq!(
+            stats.site_demotions, 1,
+            "serialization counts as a demotion"
+        );
+        // The route outranks the skip_fast override: the partitioned path it
+        // would force is the futile one.
+        let skip = TmConfig {
+            skip_fast: true,
+            ..cfg
+        };
+        assert_eq!(route_n(&skip, s, 1, &mut stats), [0, 0, 1]);
+    }
+
+    #[test]
+    fn futile_sites_still_probe_every_probe_period() {
+        let cfg = TmConfig::default();
+        let t = SiteTable::new(1);
+        let s = t.slot(12);
+        futile_after(s);
+        let mut stats = TmStats::default();
+        let seen = route_n(&cfg, s, 2 * PROBE_PERIOD as usize, &mut stats);
+        assert_eq!(
+            seen,
+            [2, 0, 2 * PROBE_PERIOD as u32 - 2],
+            "ticks 0 and 64 probe"
+        );
+        assert_eq!(stats.site_demotions, 2 * PROBE_PERIOD - 2);
+    }
+
+    #[test]
+    fn clean_partitioned_commit_on_a_probe_clears_futility() {
+        let t = SiteTable::new(1);
+        let s = t.slot(13);
+        for _ in 0..64 {
+            s.record_sub_futility(); // saturate the EWMA
+        }
+        assert!(s.futile());
+        s.record_clean_commit(1);
+        assert!(!s.futile(), "one clean commit re-admits a saturated site");
+        let mut stats = TmStats::default();
+        s.tick();
+        assert_eq!(route_n(&TmConfig::default(), s, 1, &mut stats), [1, 0, 0]);
+    }
+
+    #[test]
+    fn fast_path_outcomes_neither_set_nor_clear_futility() {
+        // Interrupt and conflict give-ups reach the profile only as fast-path
+        // exits (the executors never call `record_sub_futility` for them), so
+        // no fast exit may move the futility verdict either way.
+        let t = SiteTable::new(1);
+        let fresh = t.slot(14);
+        for _ in 0..64 {
+            fresh.record_fast_exit(FastExit::Exhausted);
+            fresh.record_fast_exit(FastExit::Resource);
+        }
+        assert!(!fresh.futile(), "fast exits set futility");
+        let learned = t.slot(15);
+        futile_after(learned);
+        for exit in [FastExit::Commit, FastExit::Resource, FastExit::Exhausted] {
+            for _ in 0..64 {
+                learned.record_fast_exit(exit);
+            }
+        }
+        assert!(learned.futile(), "fast exits cleared futility");
+    }
+
+    #[test]
+    fn static_mode_never_serializes() {
+        let cfg = TmConfig {
+            adaptive_plan: false,
+            ..TmConfig::default()
+        };
+        let t = SiteTable::new(1);
+        let s = t.slot(16);
+        for _ in 0..64 {
+            s.record_sub_futility();
+        }
+        let mut stats = TmStats::default();
+        let seen = route_n(&cfg, s, 2 * PROBE_PERIOD as usize, &mut stats);
+        assert_eq!(seen[2], 0, "adaptive_plan: false returned Serialize");
+        assert_eq!(seen[0], 2 * PROBE_PERIOD as u32);
     }
 }

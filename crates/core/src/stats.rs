@@ -61,7 +61,9 @@ pub struct TmStats {
     pub scalar_kernel_falls: u64,
     /// Transactions the abort-profile controller routed straight to the
     /// partitioned path (learned futility demotion, the static hint prior, or
-    /// the legacy resource streak — not the `skip_fast` config override).
+    /// the legacy resource streak — not the `skip_fast` config override), or
+    /// straight to the global lock on a site whose single segments are
+    /// learned not to fit.
     pub site_demotions: u64,
     /// Segment-plan merges: the controller grew a site's group size, so
     /// subsequent transactions run fewer sub-HTM round-trips.
@@ -71,7 +73,8 @@ pub struct TmStats {
     /// site's group size).
     pub plan_splits: u64,
     /// Retry attempts the adaptive budgets avoided: on every retry loop that
-    /// exhausted a reduced budget, the difference to the configured default.
+    /// exhausted a reduced budget, the difference to the configured default,
+    /// plus the partitioned retries skipped once a site is learned futile.
     pub adaptive_retry_saves: u64,
     /// Transactions an admission controller shed straight to the serialized
     /// slow path ([`crate::TmExecutor::execute_shed`]); these also count in

@@ -32,7 +32,7 @@
 //! baseline — attempts, then the lock.
 
 use crate::api::{spin_work, CommitPath, TmExecutor, TxCtx, Workload, XABORT_GLOCK};
-use crate::parthtm::{run_global_lock, wait_glock_released};
+use crate::parthtm::{commit_global_lock, wait_glock_released};
 use crate::runtime::{TmRuntime, TmThread};
 use htm_sim::abort::TxResult;
 use htm_sim::{Addr, HtmTx};
@@ -182,11 +182,7 @@ impl<'r> TmExecutor<'r> for StretchHtm<'r> {
                 }
             }
         }
-        self.th.stats.fallbacks_gl += 1;
-        run_global_lock(&self.th, w, false);
-        w.after_commit();
-        self.th.stats.record_commit(CommitPath::GlobalLock);
-        CommitPath::GlobalLock
+        commit_global_lock(&mut self.th, w, false)
     }
 
     fn thread(&self) -> &TmThread<'r> {

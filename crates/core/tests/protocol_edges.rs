@@ -3,6 +3,7 @@
 
 use htm_sim::abort::TxResult;
 use htm_sim::{Addr, HtmConfig};
+use part_htm_core::planner::PROBE_PERIOD;
 use part_htm_core::{
     CommitPath, PartHtm, PartHtmO, TmConfig, TmExecutor, TmRuntime, TxCtx, Workload, LOCK_BIT,
 };
@@ -104,6 +105,55 @@ fn part_retries_exhaustion_lands_on_global_lock_exactly_once() {
         assert_eq!(rt.verify_read(i * 8), 1);
     }
     assert_eq!(rt.system().nt_read(rt.glock()), 0, "lock released");
+}
+
+/// A single declared segment bigger than the whole L1 can only commit under
+/// the global lock. The first transaction still pays the full partitioned
+/// retry loop (and teaches the site futility); later ones go straight to the
+/// lock with no HTM begin, except on the planner's probe ticks, where one
+/// fast and one partitioned attempt re-check the verdict.
+fn learned_futility_serializes<'r, E: TmExecutor<'r>>(rt: &'r TmRuntime) {
+    let cfg = rt.config();
+    let mut e = E::new(rt, 0);
+    let mut w = Incr { n: 64, segs: 1, base: rt.app(0) };
+    assert_eq!(e.execute(&mut w), CommitPath::GlobalLock);
+    let s = &e.thread().stats;
+    assert!(s.sub_aborts >= cfg.sub_retries as u64);
+    assert_eq!(s.global_aborts, cfg.part_retries as u64, "first tx pays part_retries");
+    let txs = 2 * PROBE_PERIOD;
+    for tick in 1..txs {
+        let (begins, gaborts) = (e.thread().hw.stats.begins, e.thread().stats.global_aborts);
+        assert_eq!(e.execute(&mut w), CommitPath::GlobalLock, "tick {tick}");
+        let begun = e.thread().hw.stats.begins - begins;
+        let gaborted = e.thread().stats.global_aborts - gaborts;
+        if tick % PROBE_PERIOD == 0 {
+            assert!(begun > 0, "probe tick {tick} skipped the speculative paths");
+            assert_eq!(gaborted, 1, "probe tick {tick}: futile site retried partitioned");
+        } else {
+            assert_eq!(begun, 0, "tick {tick} began an HTM transaction");
+        }
+    }
+    let s = &e.thread().stats;
+    assert_eq!(s.commits_gl, txs);
+    assert_eq!(s.fallbacks_gl, txs);
+    assert_eq!(s.site_demotions, txs - 2, "every non-probe tick serialized");
+    for i in 0..64 {
+        assert_eq!(rt.verify_read(i * 8), txs, "counter {i}");
+    }
+    assert_eq!(rt.system().nt_read(rt.glock()), 0, "lock released");
+    assert_eq!(rt.system().nt_read(rt.active_tx()), 0, "active_tx drained");
+}
+
+#[test]
+fn learned_futility_serializes_part_htm() {
+    let htm = HtmConfig { l1_sets: 4, l1_ways: 2, quantum: 100_000, ..HtmConfig::default() };
+    learned_futility_serializes::<PartHtm>(&TmRuntime::new(htm, TmConfig::default(), 1, 2048));
+}
+
+#[test]
+fn learned_futility_serializes_part_htm_o() {
+    let htm = HtmConfig { l1_sets: 4, l1_ways: 2, quantum: 100_000, ..HtmConfig::default() };
+    learned_futility_serializes::<PartHtmO>(&TmRuntime::new(htm, TmConfig::default(), 1, 2048));
 }
 
 #[test]

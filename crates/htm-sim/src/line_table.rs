@@ -11,54 +11,63 @@
 //!  +----------------+-------------------------------------------------------+
 //!   0x00  no writer        bit t set  <=>  thread t holds the line in its
 //!   t+1   thread t                         transactional read set
-//!   0xFE  non-transactional write in progress (strong-atomicity claim)
+//!   0xFE  conflict resolution in progress (the claim)
 //! ```
 //!
-//! Accesses — transactional or not — resolve conflicts *requester-wins* with a
-//! single CAS loop on the line's word: the requester dooms the current owner(s)
-//! and installs its own registration in one atomic step, exactly as a MESI
-//! invalidation message aborts the transaction monitoring the line. A peer that
-//! already reached `Committing` stalls the requester briefly instead (see
-//! [`crate::registry`]). There is **no lock anywhere on this path**: a conflict
-//! check is one atomic load, zero or more status CASes on the victims, and one
-//! CAS on the line word; unregistration (commit publication / abort cleanup) is
-//! one atomic RMW per touched line.
+//! Accesses — transactional or not — resolve conflicts *requester-wins*: the
+//! requester dooms the current owner(s) and installs its own registration,
+//! exactly as a MESI invalidation message aborts the transaction monitoring
+//! the line. A peer that already reached `Committing` stalls the requester
+//! briefly instead (see [`crate::registry`]). An access that finds no other
+//! owner to doom is one CAS on the line word; unregistration (commit
+//! publication / abort cleanup) is one atomic RMW per touched line.
+//!
+//! An access that must doom somebody resolves under the **claim**: it CASes
+//! the writer byte to `0xFE`, dooms the owners recorded in the claimed word,
+//! then stores its final word, which releases the claim. While the claim is
+//! held the word is frozen — registrations, non-transactional accesses and
+//! claims back off ([`AccessOutcome::Wait`]) and unregistration waits — and
+//! the holder never blocks, so the claim is a few atomic operations long.
+//! The claim is what makes dooming exact. Dooming from a snapshot and then
+//! installing with a CAS is not: between the two, a victim can finish, begin
+//! again and re-register the same bits, so the CAS succeeds (ABA) and
+//! displaces a transaction that was never doomed. A non-transactional *write*
+//! also runs its heap update under the claim, so no transaction can register a
+//! read between its doom sweep and its store (strong atomicity).
 //!
 //! The table is direct-indexed by line id (one word per heap line), mirroring the
 //! cost profile of real coherence hardware rather than adding hash-map overhead
 //! to every first access.
 //!
-//! ## Lock-freedom caveats (deliberate, documented)
+//! ## Concurrency caveats (deliberate, documented)
 //!
-//! * **Spurious dooms.** A requester dooms victims identified from a snapshot of
-//!   the line word. If the victim finishes that transaction and begins another
-//!   between the snapshot and the doom CAS, the doom hits the next incarnation.
-//!   Best-effort HTM explicitly permits spurious aborts, so this is semantically
-//!   sound; the window (rollback + table cleanup + restart, all inside one
-//!   requester access) makes it vanishingly rare in practice. *Lost* dooms and
-//!   *lost* registrations cannot happen — the full-word CAS fails whenever
-//!   ownership changed, and the requester re-inspects.
+//! * **Spurious dooms.** A non-transactional read dooms the writer found in a
+//!   snapshot without claiming the line, so if that writer finished in
+//!   between, the doom lands on its next transaction. Best-effort HTM permits
+//!   spurious aborts, so this is sound. Dooms under a claim are exact, and
+//!   *lost* dooms and *lost* registrations cannot happen.
 //! * **Doomed owners keep their bits.** Dooming a writer/reader does not clear
 //!   its registration; the victim removes its own bits during rollback. A new
 //!   writer simply overwrites the writer byte (the victim's cleanup tolerates
 //!   that), matching the old behaviour where `entry.writer = Some(t)` displaced
-//!   the doomed owner.
-//! * **Strong atomicity claim.** A non-transactional *write* must execute
-//!   atomically with its conflict resolution (otherwise a hardware transaction
-//!   could register a read between the doom sweep and the store and keep a stale
-//!   value). The claim byte `0xFE` provides that window: while it is held, every
-//!   transactional registration and every other non-transactional write backs
-//!   off ([`AccessOutcome::Wait`]); readers can only *leave* (unregister). A
-//!   non-transactional *read* needs no claim — it dooms a conflicting writer
-//!   (whose buffered stores can then never be published) and performs one atomic
-//!   heap load.
+//!   the doomed owner. A non-transactional write keeps a doomed writer's byte
+//!   across its claim, as the mutex reference does.
+//! * **Unregistration waits on a claim.** A claim may restore the writer byte
+//!   it displaced. Were the displaced writer allowed to unregister during the
+//!   claim (seeing a byte that is not its own, and leaving it), the restore
+//!   would resurrect a byte with no live owner, and that thread's own next
+//!   non-transactional access to the line would find "its" writer byte outside
+//!   any transaction.
+//! * **Non-transactional reads** need no claim: one takes a snapshot, dooms a
+//!   conflicting writer (whose buffered stores can then never be published)
+//!   and performs one atomic heap load.
 //!
 //! The 56-bit reader bitmap caps the machine at
 //! [`crate::registry::MAX_THREADS`] = 56 simulated hardware
 //! threads, asserted at construction here, in [`crate::registry::TxRegistry`],
 //! and in [`crate::HtmConfig::validate`]. See `docs/line-table.md`.
 //!
-//! A mutex-based reference implementation with identical semantics lives in
+//! A mutex-based reference implementation with identical sequential semantics lives in
 //! [`crate::line_table_ref`]; it serves as the differential-testing oracle and
 //! the "before" baseline of the `linebench` microbenchmark.
 
@@ -113,28 +122,6 @@ fn reader_bit(t: ThreadId) -> u64 {
     1u64 << t
 }
 
-/// Swap the claim byte back to the (possibly displaced doomed) writer byte it
-/// replaced. While the claim is held no other writer byte can appear — every
-/// registration and competing claim backs off on `0xFE` — so only the reader
-/// bits can have changed.
-///
-/// If the displaced writer unregistered *during* the claim (its `unregister`
-/// sees a byte that is not its own and leaves it), the restore briefly
-/// resurrects a stale byte; the next access observes `DoomOutcome::Gone` and
-/// clears it, exactly like any other stale-entry case.
-#[inline]
-fn release_claim(w: &AtomicU64, saved_writer: u64) {
-    let mut cur = w.load(Ordering::SeqCst);
-    loop {
-        debug_assert_eq!(cur & WRITER_MASK, NT_CLAIM);
-        let new = (cur & READERS_MASK) | saved_writer;
-        match w.compare_exchange_weak(cur, new, Ordering::SeqCst, Ordering::SeqCst) {
-            Ok(_) => return,
-            Err(observed) => cur = observed,
-        }
-    }
-}
-
 /// Direct-indexed table mapping every heap line to its packed owner word.
 ///
 /// The table stays *dense* — one word per heap line, mirroring the cost
@@ -180,32 +167,105 @@ impl LineTable {
         &self.chunks[line as usize / WORDS_PER_LINE].0[line as usize % WORDS_PER_LINE]
     }
 
+    /// Two-phase conflict resolution for an access that must doom other owners
+    /// of the line. Phase 1 installs the claim byte over the snapshot `cur`
+    /// (re-read on CAS failure); phase 2 dooms the displaced writer and, when
+    /// `doom_readers`, every reader but the requester, while the word is
+    /// frozen.
+    ///
+    /// Returns the word to publish on release: the claimed snapshot with the
+    /// writer byte kept for a doomed writer (its rollback clears it) and
+    /// dropped for a stale one. `Err(())` means the caller must wait: the line
+    /// is already claimed, or a victim is mid-commit (the claim is then
+    /// released with the word unchanged). The caller releases by storing its
+    /// final word; nothing may block while the claim is held.
+    ///
+    /// While the claim is held nothing else can change the word: every
+    /// registration and non-transactional access backs off on `0xFE`, and
+    /// [`LineTable::unregister`] waits for the release. The victims are
+    /// therefore exactly the transactions registered when the claim landed.
+    /// Dooming from a snapshot *before* the installing CAS would not give that:
+    /// a victim could finish, begin again and re-register the same bits in
+    /// between (ABA on the word), and the CAS would displace that undoomed
+    /// incarnation.
+    fn resolve(
+        &self,
+        reg: &TxRegistry,
+        w: &AtomicU64,
+        mut cur: u64,
+        by: Requester,
+        doom_readers: bool,
+    ) -> Result<u64, ()> {
+        loop {
+            if writer_of(cur) == Writer::NtClaim {
+                return Err(());
+            }
+            let claimed = (cur & READERS_MASK) | NT_CLAIM;
+            match w.compare_exchange_weak(cur, claimed, Ordering::SeqCst, Ordering::SeqCst) {
+                Ok(_) => break,
+                Err(observed) => cur = observed,
+            }
+        }
+        let mut word = cur;
+        if let Writer::Thread(owner) = writer_of(cur) {
+            if Requester::Thread(owner) != by {
+                match reg.doom(owner, by) {
+                    DoomOutcome::MustWait => {
+                        w.store(cur, Ordering::SeqCst);
+                        return Err(());
+                    }
+                    DoomOutcome::Doomed => {}
+                    DoomOutcome::Gone => word &= !WRITER_MASK,
+                }
+            }
+        }
+        if doom_readers {
+            let self_bit = match by {
+                Requester::Thread(b) => reader_bit(b),
+                Requester::External => 0,
+            };
+            let mut readers = cur & READERS_MASK & !self_bit;
+            while readers != 0 {
+                let r = readers.trailing_zeros() as ThreadId;
+                readers &= readers - 1;
+                if reg.doom(r, by) == DoomOutcome::MustWait {
+                    w.store(cur, Ordering::SeqCst);
+                    return Err(());
+                }
+            }
+        }
+        Ok(word)
+    }
+
     /// Register thread `t` as a transactional reader of `line`.
     ///
     /// Dooms a conflicting transactional writer (reading a line in another core's
-    /// transactionally-modified state invalidates that transaction).
+    /// transactionally-modified state invalidates that transaction). Without a
+    /// foreign writer this is one CAS; with one, it resolves under the claim
+    /// (see the module docs).
     pub fn tx_read(&self, reg: &TxRegistry, line: Line, t: ThreadId) -> AccessOutcome {
         debug_assert!((t as usize) < MAX_THREADS);
         let w = self.word(line);
         let me = reader_bit(t);
         let mut cur = w.load(Ordering::SeqCst);
         loop {
-            let new = match writer_of(cur) {
-                Writer::None => cur | me,
-                Writer::Thread(owner) if owner == t => cur | me,
-                Writer::Thread(owner) => match reg.doom(owner, Requester::Thread(t)) {
-                    DoomOutcome::MustWait => return AccessOutcome::Wait,
-                    // The doomed victim clears its own byte during rollback.
-                    DoomOutcome::Doomed => cur | me,
-                    // Stale byte from a finished incarnation: clear it ourselves.
-                    DoomOutcome::Gone => (cur & !WRITER_MASK) | me,
-                },
+            match writer_of(cur) {
                 Writer::NtClaim => return AccessOutcome::Wait,
-            };
-            if new == cur {
+                Writer::Thread(owner) if owner != t => {
+                    return match self.resolve(reg, w, cur, Requester::Thread(t), false) {
+                        Ok(word) => {
+                            w.store(word | me, Ordering::SeqCst);
+                            AccessOutcome::Ok
+                        }
+                        Err(()) => AccessOutcome::Wait,
+                    };
+                }
+                _ => {}
+            }
+            if cur & me != 0 {
                 return AccessOutcome::Ok;
             }
-            match w.compare_exchange_weak(cur, new, Ordering::SeqCst, Ordering::SeqCst) {
+            match w.compare_exchange_weak(cur, cur | me, Ordering::SeqCst, Ordering::SeqCst) {
                 Ok(_) => return AccessOutcome::Ok,
                 Err(observed) => cur = observed,
             }
@@ -217,36 +277,34 @@ impl LineTable {
     /// Dooms the conflicting writer and every conflicting reader (a write request
     /// for ownership invalidates all other copies of the line). Reader bits are
     /// left in place — doomed readers unregister themselves during rollback.
+    /// Without other owners this is one CAS; with them, it resolves under the
+    /// claim (see the module docs).
     pub fn tx_write(&self, reg: &TxRegistry, line: Line, t: ThreadId) -> AccessOutcome {
         debug_assert!((t as usize) < MAX_THREADS);
         let w = self.word(line);
+        let mine = writer_word(t);
         let mut cur = w.load(Ordering::SeqCst);
         loop {
-            match writer_of(cur) {
-                Writer::None => {}
-                Writer::Thread(owner) if owner == t => {}
-                Writer::Thread(owner) => match reg.doom(owner, Requester::Thread(t)) {
-                    DoomOutcome::MustWait => return AccessOutcome::Wait,
-                    // Either way the byte is overwritten below; a doomed victim's
-                    // cleanup tolerates its byte having been displaced.
-                    DoomOutcome::Doomed | DoomOutcome::Gone => {}
-                },
+            let foreign_writer = match writer_of(cur) {
                 Writer::NtClaim => return AccessOutcome::Wait,
+                Writer::Thread(owner) => owner != t,
+                Writer::None => false,
+            };
+            if foreign_writer || cur & READERS_MASK & !reader_bit(t) != 0 {
+                return match self.resolve(reg, w, cur, Requester::Thread(t), true) {
+                    Ok(word) => {
+                        w.store((word & READERS_MASK) | mine, Ordering::SeqCst);
+                        AccessOutcome::Ok
+                    }
+                    Err(()) => AccessOutcome::Wait,
+                };
             }
-            let mut readers = cur & READERS_MASK & !reader_bit(t);
-            while readers != 0 {
-                let r = readers.trailing_zeros() as ThreadId;
-                readers &= readers - 1;
-                match reg.doom(r, Requester::Thread(t)) {
-                    DoomOutcome::MustWait => return AccessOutcome::Wait,
-                    DoomOutcome::Doomed | DoomOutcome::Gone => {}
-                }
+            let new = (cur & READERS_MASK) | mine;
+            if new == cur {
+                return AccessOutcome::Ok;
             }
-            let new = (cur & READERS_MASK) | writer_word(t);
             match w.compare_exchange_weak(cur, new, Ordering::SeqCst, Ordering::SeqCst) {
                 Ok(_) => return AccessOutcome::Ok,
-                // Ownership changed under us (new reader/writer/claim): re-doom
-                // from the fresh snapshot. Re-dooming is idempotent.
                 Err(observed) => cur = observed,
             }
         }
@@ -273,13 +331,13 @@ impl LineTable {
     /// Execute a non-transactional heap access atomically with its conflict
     /// resolution.
     ///
-    /// For a *write*, the claim byte is installed first: conflicting owners are
-    /// doomed and `op` runs before the claim is released, closing the window in
-    /// which a hardware transaction could register a read between the conflict
-    /// check and the non-transactional store and keep a stale value (strong
-    /// atomicity would be violated otherwise). A *read* needs no claim: dooming
-    /// the writer already prevents its buffered stores from ever publishing, and
-    /// the single heap load is itself atomic.
+    /// A *write* runs `op` under the claim byte, after dooming every owner
+    /// (see the module docs), closing the window in which a hardware
+    /// transaction could register a read between the conflict check and the
+    /// non-transactional store and keep a stale value (strong atomicity would
+    /// be violated otherwise). A *read* needs no claim: dooming the writer
+    /// already prevents its buffered stores from ever publishing, and the
+    /// single heap load is itself atomic.
     ///
     /// Returns `Err(())` if a committing peer (or a concurrent claim holder)
     /// forces a wait; the caller retries. The unit error is deliberate: "wait and
@@ -295,47 +353,29 @@ impl LineTable {
     ) -> Result<R, ()> {
         let w = self.word(line);
         if !is_write {
-            // Read path: doom a conflicting writer, then load.
-            let mut cur = w.load(Ordering::SeqCst);
-            loop {
-                match writer_of(cur) {
-                    Writer::None => break,
-                    Writer::NtClaim => return Err(()),
-                    Writer::Thread(owner) if Requester::Thread(owner) == by => {
-                        debug_assert!(
-                            false,
-                            "non-transactional access to a line in the caller's own active write set"
-                        );
-                        break;
-                    }
-                    Writer::Thread(owner) => match reg.doom(owner, by) {
-                        DoomOutcome::MustWait => return Err(()),
-                        DoomOutcome::Doomed => break,
-                        DoomOutcome::Gone => {
-                            // Tidy the stale byte so later accesses skip the doom.
-                            match w.compare_exchange_weak(
-                                cur,
-                                cur & !WRITER_MASK,
-                                Ordering::SeqCst,
-                                Ordering::SeqCst,
-                            ) {
-                                Ok(_) => break,
-                                Err(observed) => cur = observed,
-                            }
-                        }
-                    },
+            // Read path: doom a conflicting writer, then load. A writer found
+            // `Gone` needs nothing: it no longer has a transaction to doom.
+            return match writer_of(w.load(Ordering::SeqCst)) {
+                Writer::NtClaim => Err(()),
+                Writer::Thread(owner) if Requester::Thread(owner) == by => {
+                    debug_assert!(
+                        false,
+                        "non-transactional access to a line in the caller's own active write set"
+                    );
+                    Ok(op())
                 }
-            }
-            return Ok(op());
+                Writer::Thread(owner) => match reg.doom(owner, by) {
+                    DoomOutcome::MustWait => Err(()),
+                    DoomOutcome::Doomed | DoomOutcome::Gone => Ok(op()),
+                },
+                Writer::None => Ok(op()),
+            };
         }
 
         // Write path, uncontended fast path: a line nobody monitors is claimed
-        // with one CAS and released with one plain store. Correct because while
-        // the claim is held with zero readers present, no other party can change
-        // the word at all: registrations and competing claims back off on 0xFE,
-        // and unregistering absent bits is a no-op. A failed CAS hands us the
-        // observed word, doubling as the two-phase path's initial load.
-        let mut cur = match w.compare_exchange(0, NT_CLAIM, Ordering::SeqCst, Ordering::SeqCst) {
+        // with one CAS and released with one plain store (the claim freezes the
+        // word). A failed CAS hands us the observed word for the resolution.
+        let cur = match w.compare_exchange(0, NT_CLAIM, Ordering::SeqCst, Ordering::SeqCst) {
             Ok(_) => {
                 let out = op();
                 w.store(0, Ordering::SeqCst);
@@ -343,59 +383,18 @@ impl LineTable {
             }
             Err(observed) => observed,
         };
-
-        // Write path, phase 1: install the claim byte, dooming a conflicting
-        // transactional writer on the way. A doomed writer stays registered (its
-        // own rollback unregisters it), so its displaced byte is restored when
-        // the claim is released; a stale byte (`Gone`) is dropped instead.
-        let (claimed, saved_writer) = loop {
-            let saved = match writer_of(cur) {
-                Writer::None => 0,
-                Writer::NtClaim => return Err(()),
-                Writer::Thread(owner) if Requester::Thread(owner) == by => {
-                    debug_assert!(
-                        false,
-                        "non-transactional access to a line in the caller's own active write set"
-                    );
-                    // Invalid state; degrade to an unclaimed store rather than
-                    // displacing the caller's own registration.
-                    return Ok(op());
-                }
-                Writer::Thread(owner) => match reg.doom(owner, by) {
-                    DoomOutcome::MustWait => return Err(()),
-                    DoomOutcome::Doomed => cur & WRITER_MASK,
-                    DoomOutcome::Gone => 0,
-                },
-            };
-            let new = (cur & READERS_MASK) | NT_CLAIM;
-            match w.compare_exchange_weak(cur, new, Ordering::SeqCst, Ordering::SeqCst) {
-                Ok(_) => break (new, saved),
-                Err(observed) => cur = observed,
-            }
-        };
-
-        // Phase 2 (claim held): no new registration can land — tx_read/tx_write
-        // and other claims back off on 0xFE; readers can only unregister. Doom
-        // the snapshot's readers, run `op`, release.
-        let self_bit = match by {
-            Requester::Thread(b) => reader_bit(b),
-            Requester::External => 0,
-        };
-        let mut readers = claimed & READERS_MASK & !self_bit;
-        while readers != 0 {
-            let r = readers.trailing_zeros() as ThreadId;
-            readers &= readers - 1;
-            match reg.doom(r, by) {
-                DoomOutcome::MustWait => {
-                    // A reader is mid-commit: back off entirely and retry.
-                    release_claim(w, saved_writer);
-                    return Err(());
-                }
-                DoomOutcome::Doomed | DoomOutcome::Gone => {}
-            }
+        if matches!(writer_of(cur), Writer::Thread(owner) if Requester::Thread(owner) == by) {
+            debug_assert!(
+                false,
+                "non-transactional access to a line in the caller's own active write set"
+            );
+            // Invalid state; degrade to an unclaimed store rather than
+            // displacing the caller's own registration.
+            return Ok(op());
         }
+        let word = self.resolve(reg, w, cur, by, true)?;
         let out = op();
-        release_claim(w, saved_writer);
+        w.store(word, Ordering::SeqCst);
         Ok(out)
     }
 
@@ -404,13 +403,22 @@ impl LineTable {
     /// for every touched line.
     ///
     /// The writer byte is cleared only if it still belongs to `t` — a requester
-    /// or claim holder may have displaced it after dooming `t`.
+    /// may have displaced it after dooming `t`. While a claim holds the line
+    /// this waits for its release: the release may restore `t`'s writer byte,
+    /// and a byte restored after `t` unregistered would outlive `t`'s
+    /// transaction with nobody left to clear it.
     pub fn unregister(&self, line: Line, t: ThreadId) {
         let w = self.word(line);
         let me_bit = reader_bit(t);
         let me_writer = writer_word(t);
+        let mut backoff = crate::util::Backoff::new();
         let mut cur = w.load(Ordering::SeqCst);
         loop {
+            if cur & WRITER_MASK == NT_CLAIM {
+                backoff.snooze();
+                cur = w.load(Ordering::SeqCst);
+                continue;
+            }
             let mut new = cur & !me_bit;
             if cur & WRITER_MASK == me_writer {
                 new &= !WRITER_MASK;
@@ -668,6 +676,50 @@ mod tests {
         });
         assert_eq!(cell.load(Ordering::SeqCst), NT_WRITES, "no lost nt writes");
         assert_eq!(tab.live_entries(), 0, "no leaked claims or registrations");
+    }
+
+    #[test]
+    fn unregister_waits_out_the_claim_that_displaced_it() {
+        use std::sync::atomic::AtomicBool;
+        let (tab, reg) = setup();
+        reg.begin(0);
+        tab.tx_write(&reg, 3, 0);
+        let (started, done) = (AtomicBool::new(false), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            // A non-transactional write dooms writer 0, which rolls back while
+            // the claim is still held. The unregister cannot finish before the
+            // release on any interleaving; the pause only gives a broken one
+            // the time to.
+            let r = tab.nt_execute(&reg, 3, true, Requester::External, || {
+                assert!(reg.is_doomed(0));
+                s.spawn(|| {
+                    started.store(true, Ordering::SeqCst);
+                    tab.unregister(3, 0);
+                    done.store(true, Ordering::SeqCst);
+                });
+                while !started.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                assert!(
+                    !done.load(Ordering::SeqCst),
+                    "unregister ran under the claim"
+                );
+            });
+            assert_eq!(r, Ok(()));
+        });
+        reg.finish(0);
+        assert_eq!(tab.raw_word(3), 0, "a writer byte outlived its unregister");
+        // Thread 0's own non-transactional accesses find the line clean.
+        assert_eq!(
+            tab.nt_access(&reg, 3, false, Requester::Thread(0)),
+            AccessOutcome::Ok
+        );
+        assert_eq!(
+            tab.nt_access(&reg, 3, true, Requester::Thread(0)),
+            AccessOutcome::Ok
+        );
+        assert_eq!(tab.live_entries(), 0);
     }
 
     #[test]

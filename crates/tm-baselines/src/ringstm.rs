@@ -38,7 +38,7 @@ impl TxCtx for RingCtx<'_, '_> {
         // Poll the ring: validate against commits newer than our start time.
         if self.ring.timestamp_nt(&self.th.hw) != *self.start {
             match self.ring.validate_nt(&self.th.hw, self.rsig, *self.start) {
-                Ok(ts) => *self.start = ts,
+                Ok(ts) => *self.start = written_back(self.th, self.ring, ts),
                 Err(_) => return Err(AbortCode::Conflict),
             }
         }
@@ -63,6 +63,21 @@ impl TxCtx for RingCtx<'_, '_> {
     }
 }
 
+/// The newest commit a reader may treat as written back, given the newest
+/// published timestamp `ts` (read before this call). A committer publishes its
+/// entry and the timestamp before it writes its values back, and holds the
+/// ring lock throughout. While the lock is held, entry `ts` may still be
+/// writing back, so it stays in the reader's window: a later read of a
+/// location it writes is then validated against it instead of returning the
+/// stale value unchecked.
+fn written_back(th: &TmThread<'_>, ring: &Ring, ts: u64) -> u64 {
+    if th.hw.nt_read(ring.lock_addr()) != 0 {
+        ts.saturating_sub(1)
+    } else {
+        ts
+    }
+}
+
 /// The RingSTM executor.
 pub struct RingStm<'r> {
     th: TmThread<'r>,
@@ -78,7 +93,7 @@ impl<'r> RingStm<'r> {
         self.rsig.clear();
         self.wsig.clear();
         self.redo.clear();
-        let mut start = ring.timestamp_nt(&self.th.hw);
+        let mut start = written_back(&self.th, ring, ring.timestamp_nt(&self.th.hw));
 
         {
             let mut ctx = RingCtx {
@@ -242,6 +257,83 @@ mod tests {
         let th = TmThread::new(&rt, 0);
         assert_eq!(rt.ring().timestamp_nt(&th.hw), 1);
         assert!(rt.ring().entry(1).snapshot_nt(&th.hw).contains(rt.app(0)));
+    }
+
+    #[test]
+    fn read_window_keeps_an_entry_still_writing_back() {
+        let rt = TmRuntime::with_defaults(2, 64);
+        let ring = rt.ring();
+        let spec = rt.config().sig_spec;
+        let (x, y) = (rt.app(0), rt.app(8));
+        // Thread 1 is mid-commit: it holds the ring lock and has published
+        // its entry (writing `x`) and the timestamp, but not written `x` back.
+        let writer = TmThread::new(&rt, 1);
+        writer.hw.nt_cas(ring.lock_addr(), 0, 1).unwrap();
+        let mut written = Sig::new(spec);
+        written.add(x);
+        ring.write_entry_nt(&writer.hw, 1, &written);
+        writer.hw.nt_write(ring.timestamp_addr(), 1);
+        // A reader that began before that commit reads `y`, validating past
+        // the new entry, then reads `x`, which still holds the old value.
+        let reader = TmThread::new(&rt, 0);
+        let (mut start, mut rsig, mut wsig) = (0, Sig::new(spec), Sig::new(spec));
+        let mut redo = RedoLog::default();
+        let mut ctx = RingCtx {
+            th: &reader,
+            ring,
+            start: &mut start,
+            rsig: &mut rsig,
+            wsig: &mut wsig,
+            redo: &mut redo,
+        };
+        assert_eq!(ctx.read(y), Ok(0));
+        assert_eq!(
+            ctx.read(x),
+            Err(AbortCode::Conflict),
+            "stale read of a location whose write-back is in flight"
+        );
+    }
+
+    #[test]
+    fn begin_window_keeps_an_entry_still_writing_back() {
+        let rt = TmRuntime::with_defaults(2, 64);
+        let ring = rt.ring();
+        let x = rt.app(0);
+        // Thread 1 is mid-commit (as in the test above) when a transaction
+        // that increments `x` begins. The commit's write-back lands right
+        // after the transaction's first read of `x`.
+        let writer = TmThread::new(&rt, 1);
+        writer.hw.nt_cas(ring.lock_addr(), 0, 1).unwrap();
+        let mut written = Sig::new(rt.config().sig_spec);
+        written.add(x);
+        ring.write_entry_nt(&writer.hw, 1, &written);
+        writer.hw.nt_write(ring.timestamp_addr(), 1);
+        struct IncOnce<'a> {
+            x: Addr,
+            finish: Option<Box<dyn FnOnce() + 'a>>,
+        }
+        impl Workload for IncOnce<'_> {
+            type Snap = ();
+            fn sample(&mut self, _r: &mut SmallRng) {}
+            fn segment<C: TxCtx>(&mut self, _s: usize, ctx: &mut C) -> TxResult<()> {
+                let v = ctx.read(self.x);
+                if let Some(finish) = self.finish.take() {
+                    finish();
+                }
+                ctx.write(self.x, v? + 1)
+            }
+        }
+        let finish = || {
+            writer.hw.nt_write(x, 10);
+            writer.hw.nt_write(ring.lock_addr(), 0);
+        };
+        let mut e = RingStm::new(&rt, 0);
+        let mut w = IncOnce {
+            x,
+            finish: Some(Box::new(finish)),
+        };
+        e.execute(&mut w);
+        assert_eq!(rt.verify_read(0), 11, "the increment read a stale value");
     }
 
     #[test]

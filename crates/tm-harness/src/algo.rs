@@ -285,14 +285,21 @@ mod tests {
         );
     }
 
-    /// Writes 12 one-per-line counters in 4 declared segments — overflows a
-    /// tiny L1 write budget, forcing the partitioned path and the planner.
+    /// Writes 24 one-per-line counters in 8 declared segments of 3. The
+    /// whole transaction overflows a 24-line read budget, forcing the
+    /// partitioned path and the planner, while one segment plus the sub-HTM's
+    /// signature, undo-log and write-lock lines fits an 8x4 L1. (A 4x2 L1
+    /// cannot hold that metadata at all: every sub-HTM dies of capacity and
+    /// the transaction can only commit on the global lock.)
     struct Wide(Addr);
+    impl Wide {
+        const SEGS: usize = 8;
+    }
     impl Workload for Wide {
         type Snap = ();
         fn sample(&mut self, _r: &mut SmallRng) {}
         fn segments(&self) -> usize {
-            4
+            Self::SEGS
         }
         fn segment<C: TxCtx>(&mut self, s: usize, ctx: &mut C) -> TxResult<()> {
             for i in 0..3u32 {
@@ -313,8 +320,8 @@ mod tests {
         use htm_sim::vclock::SchedSpec;
         let run = |prob: f64| {
             let htm = HtmConfig {
-                l1_sets: 4,
-                l1_ways: 2,
+                l1_sets: 8,
+                l1_ways: 4,
                 read_lines_max: 24,
                 interrupt_prob: prob,
                 ..HtmConfig::tiny()
@@ -325,7 +332,7 @@ mod tests {
                 60,
                 htm,
                 TmConfig::default(),
-                12 * 8,
+                Wide::SEGS * 3 * 8,
                 SchedSpec::default(),
                 |rt| Shared(rt.app(0)),
                 |s, _t| Wide(s.0),
@@ -334,6 +341,10 @@ mod tests {
         };
         let base = run(0.0);
         let pert = run(5e-3);
+        assert!(
+            base.tm.commits_subhtm > 0 && pert.tm.commits_subhtm > 0,
+            "the workload must actually commit on the partitioned path"
+        );
         assert!(
             base.tm.site_demotions > 0 || base.tm.plan_splits > 0,
             "the workload must actually exercise the planner"

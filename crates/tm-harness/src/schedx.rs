@@ -79,7 +79,12 @@ pub const SCENARIOS: &[(&str, usize, &str)] = &[
     (
         "planner",
         2,
-        "capacity-heavy multi-segment Part-HTM: partitioned path + segment planner",
+        "wide multi-segment Part-HTM on a tiny L1: conflicting fast paths fall to the global lock",
+    ),
+    (
+        "futile-serialize",
+        2,
+        "Part-HTM site whose single segment never fits: both cores learn the global-lock route",
     ),
     (
         "ring-epoch",
@@ -108,6 +113,7 @@ pub const SCENARIOS: &[(&str, usize, &str)] = &[
 pub const BOUNDED_SET: &[&str] = &[
     "counter2",
     "planner",
+    "futile-serialize",
     "ring-epoch",
     "power-stretch",
     "server-batch",
@@ -125,9 +131,16 @@ impl Workload for Inc {
     }
 }
 
-/// Increment `LINES` one-per-line counters in `SEGS` declared segments —
-/// wide enough to blow a tiny L1 write budget and force the partitioned
-/// path and the segment planner.
+/// Increment `LINES` one-per-line counters in `SEGS` declared segments.
+///
+/// Under the `planner` scenario (both cores on the same counters, 4x2 L1)
+/// this does *not* reach the partitioned path or the segment planner: the
+/// two cores' fast attempts conflict until the fast-path budget runs out,
+/// and every transaction commits on the global lock (default schedule: 24
+/// conflict aborts, 8 global-lock commits, no sub-HTM begin). A single core
+/// would not get further: a 4x2 L1 cannot hold one sub-HTM's signature,
+/// undo-log and write-lock lines, so every partitioned attempt dies of
+/// capacity.
 struct WideInc {
     base: htm_sim::Addr,
 }
@@ -147,6 +160,30 @@ impl Workload for WideInc {
         let per = Self::LINES as usize / Self::SEGS;
         for i in 0..per {
             let addr = self.base + ((s * per + i) as u32) * 8;
+            let v = ctx.read(addr)?;
+            ctx.write(addr, v + 1)?;
+        }
+        Ok(())
+    }
+}
+
+/// Increment `LINES` one-per-line counters in one declared segment — twice
+/// the tiny L1's eight lines, so neither the fast path nor the partitioned
+/// path can ever commit it and only the global lock does.
+struct Oversized {
+    base: htm_sim::Addr,
+}
+
+impl Oversized {
+    const LINES: u32 = 16;
+}
+
+impl Workload for Oversized {
+    type Snap = ();
+    fn sample(&mut self, _r: &mut SmallRng) {}
+    fn segment<C: TxCtx>(&mut self, _s: usize, ctx: &mut C) -> htm_sim::abort::TxResult<()> {
+        for i in 0..Self::LINES {
+            let addr = self.base + i * 8;
             let v = ctx.read(addr)?;
             ctx.write(addr, v + 1)?;
         }
@@ -290,6 +327,36 @@ pub fn run_scenario(name: &str, spec: &SchedSpec) -> Result<(VReport, String), S
             }
             let words: Vec<(usize, u64)> =
                 (0..WideInc::LINES as usize).map(|i| (i * 8, 8)).collect();
+            check_clean(&rt, &words, &mut bad);
+            finish(name, r, rep, bad)
+        }
+        "futile-serialize" => {
+            // Each core bumps its own counters under the one shared site, so
+            // the fast path dies of capacity rather than of conflicts: both
+            // cores' first transactions run the partitioned retry loop
+            // concurrently and feed the site's futility EWMA, and the later
+            // ones must serialize without breaking the sums or leaving the
+            // lock held.
+            const TXS: usize = 8;
+            let lines = Oversized::LINES as usize;
+            let rt = TmRuntime::new(HtmConfig::tiny(), TmConfig::default(), 2, 2 * lines * 8);
+            let (r, rep) =
+                run_threads_virtual::<PartHtm, _, _>(&rt, 2, TXS, spec.clone(), |t| Oversized {
+                    base: rt.app(t * lines * 8),
+                });
+            let mut bad = Vec::new();
+            if r.commits != 2 * TXS as u64 || r.tm.commits_gl != 2 * TXS as u64 {
+                bad.push(format!(
+                    "expected {} global-lock commits, got {} of {}",
+                    2 * TXS,
+                    r.tm.commits_gl,
+                    r.commits
+                ));
+            }
+            if r.tm.site_demotions == 0 {
+                bad.push("no transaction took the learned global-lock route".to_string());
+            }
+            let words: Vec<(usize, u64)> = (0..2 * lines).map(|i| (i * 8, TXS as u64)).collect();
             check_clean(&rt, &words, &mut bad);
             finish(name, r, rep, bad)
         }
