@@ -27,9 +27,10 @@ use crate::api::{
     CommitPath, TmExecutor, TxCtx, Workload, LOCK_BIT, VALUE_MASK, XABORT_LOCKED,
     XABORT_TS_CHANGED, XABORT_UNDO_FULL,
 };
-use crate::ctx::{RawCtx, SigPair, SoftwareCtx};
+use crate::ctx::{SigPair, SoftwareCtx};
 use crate::parthtm::{
-    capacity_class, commit_global_lock, run_global_lock, wait_glock_released, GroupRun,
+    capacity_class, commit_global_lock, fast_abort_charge, run_global_lock, try_fast_quiet,
+    wait_glock_released, GroupRun,
 };
 use crate::planner::{build_plan, FastExit, FastProfile, FastRoute, PlanChange, PlanStep};
 use crate::runtime::{ThreadArena, TmRuntime, TmThread};
@@ -218,54 +219,15 @@ pub struct PartHtmO<'r> {
 }
 
 impl<'r> PartHtmO<'r> {
-    /// Quiet fast path (see the base executor's documentation): with `active_tx`
-    /// subscribed at zero, no embedded lock bit can be set anywhere — locks are only
-    /// held while their global transaction is active — so the encounter-time checks,
-    /// the value masking and the ring publish all become unnecessary.
-    fn try_fast_quiet<W: Workload>(&mut self, w: &mut W) -> Result<(), AbortCode> {
-        w.reset();
-        let rt = self.th.rt;
-        let mut tx = self.th.hw.begin();
-        let body: TxResult<()> = 'b: {
-            match tx.read(rt.glock()) {
-                Ok(0) => {}
-                Ok(_) => break 'b Err(tx.xabort(XABORT_GLOCK)),
-                Err(e) => break 'b Err(e),
-            }
-            match tx.read(rt.active_tx()) {
-                Ok(0) => {}
-                Ok(_) => break 'b Err(tx.xabort(XABORT_NOT_QUIET)),
-                Err(e) => break 'b Err(e),
-            }
-            let mut ctx = RawCtx { tx: &mut tx };
-            for seg in 0..w.segments() {
-                if let Err(e) = w.segment(seg, &mut ctx) {
-                    break 'b Err(e);
-                }
-            }
-            Ok(())
-        };
-        let res = match body {
-            Ok(()) => tx.commit(),
-            Err(code) => {
-                drop(tx);
-                Err(code)
-            }
-        };
-        if res.is_err() {
-            self.th.stats.fast_aborts += 1;
-        }
-        res
-    }
-
+    /// The fast path: the shared quiet variant first (with `active_tx` at zero
+    /// no embedded lock bit can be set anywhere, so the encounter-time checks,
+    /// value masking and ring publish are unnecessary), instrumented otherwise.
     fn try_fast<W: Workload>(&mut self, w: &mut W) -> Result<(), AbortCode> {
-        let rt = self.th.rt;
-        if self.th.hw.nt_read(rt.active_tx()) == 0 {
-            match self.try_fast_quiet(w) {
-                Err(AbortCode::Explicit(XABORT_NOT_QUIET)) => {} // re-run instrumented
-                other => return other,
-            }
+        match try_fast_quiet(&mut self.th, w) {
+            Err(AbortCode::Explicit(XABORT_NOT_QUIET)) => {} // re-run instrumented
+            other => return other,
         }
+        let rt = self.th.rt;
         w.reset();
         self.wmir.clear();
         let a = self.arena;
@@ -609,8 +571,7 @@ impl<'r> PartHtmO<'r> {
         }
         if let FastRoute::Attempt { budget } = route {
             let mut fails = 0;
-            loop {
-                wait_glock_released(&self.th);
+            for attempt in 0.. {
                 match self.try_fast(w) {
                     Ok(()) => {
                         self.profile.note_exit(&cfg, slot, FastExit::Commit);
@@ -623,8 +584,8 @@ impl<'r> PartHtmO<'r> {
                         self.th.stats.fallbacks_partitioned += 1;
                         break;
                     }
-                    Err(_) => {
-                        fails += 1;
+                    Err(code) => {
+                        fails += fast_abort_charge(&mut self.th, attempt, code);
                         if fails >= budget {
                             self.profile.note_exit(&cfg, slot, FastExit::Exhausted);
                             if budget < cfg.fast_retries {
@@ -633,6 +594,7 @@ impl<'r> PartHtmO<'r> {
                             }
                             return commit_global_lock(&mut self.th, w, true);
                         }
+                        wait_glock_released(&self.th);
                     }
                 }
             }

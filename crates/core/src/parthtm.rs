@@ -54,11 +54,75 @@ pub(crate) fn commit_global_lock<W: Workload>(
 }
 
 /// Anti-lemming retry policy (§7, after the paper’s reference \[38\]): never retry in hardware while the
-/// global lock is held — wait for its release first.
+/// global lock is held — wait for its release first. Fast paths wait on the
+/// retry edge only (after an abort, before the next attempt): a first attempt
+/// begins directly, and its in-transaction `GLock` subscription (Fig. 1 lines
+/// 1–2) makes the same check (see [`fast_abort_charge`]).
 pub fn wait_glock_released(th: &TmThread<'_>) {
     while th.hw.nt_read(th.rt.glock()) != 0 {
         htm_sim::vclock::yield_now();
     }
+}
+
+/// What fast-path attempt `attempt` (0-based), aborted with `code`, costs the
+/// conflict-retry budget: 1, except 0 for a first attempt that its own `GLock`
+/// subscription aborted ([`XABORT_GLOCK`]). That abort stands in for a
+/// pre-begin lock wait, so entering while the lock is held costs one aborted
+/// begin and a wait, never a retry. Counted in
+/// [`TmStats::glock_entry_aborts`](crate::TmStats::glock_entry_aborts).
+pub fn fast_abort_charge(th: &mut TmThread<'_>, attempt: u32, code: AbortCode) -> u32 {
+    if attempt == 0 && code == AbortCode::Explicit(XABORT_GLOCK) {
+        th.stats.glock_entry_aborts += 1;
+        return 0;
+    }
+    1
+}
+
+/// Quiet fast path, shared by Part-HTM and Part-HTM-O: the whole transaction
+/// as pure HTM plus two in-transaction subscriptions, `GLock` and `active_tx`.
+/// Every fast-path attempt tries it first; a non-zero `active_tx` aborts it
+/// with [`XABORT_NOT_QUIET`] and the caller re-runs instrumented. Sound because
+/// the protocol state the instrumentation coordinates with — Part-HTM's write
+/// locks and ring, Part-HTM-O's embedded lock bits — is only held or consulted
+/// while `active_tx > 0` (release precedes the decrement), and any change to
+/// either subscribed word dooms this hardware transaction.
+pub(crate) fn try_fast_quiet<W: Workload>(
+    th: &mut TmThread<'_>,
+    w: &mut W,
+) -> Result<(), AbortCode> {
+    w.reset();
+    let rt = th.rt;
+    let mut tx = th.hw.begin();
+    let body: TxResult<()> = 'b: {
+        match tx.read(rt.glock()) {
+            Ok(0) => {}
+            Ok(_) => break 'b Err(tx.xabort(XABORT_GLOCK)),
+            Err(e) => break 'b Err(e),
+        }
+        match tx.read(rt.active_tx()) {
+            Ok(0) => {}
+            Ok(_) => break 'b Err(tx.xabort(XABORT_NOT_QUIET)),
+            Err(e) => break 'b Err(e),
+        }
+        let mut ctx = RawCtx { tx: &mut tx };
+        for seg in 0..w.segments() {
+            if let Err(e) = w.segment(seg, &mut ctx) {
+                break 'b Err(e);
+            }
+        }
+        Ok(())
+    };
+    let res = match body {
+        Ok(()) => tx.commit(),
+        Err(code) => {
+            drop(tx);
+            Err(code)
+        }
+    };
+    if res.is_err() {
+        th.stats.fast_aborts += 1;
+    }
+    res
 }
 
 /// Outcome of one planned sub-HTM group on the partitioned path.
@@ -117,61 +181,16 @@ pub struct PartHtm<'r> {
 }
 
 impl<'r> PartHtm<'r> {
-    /// Quiet fast path: when the subscribed `active_tx` counter is zero, no
-    /// partitioned-path transaction runs concurrently, so the signatures, the
-    /// write-locks validation and the ring publish — which exist solely to
-    /// coordinate with sub-HTM transactions — are unnecessary and the fast path is
-    /// pure HTM plus two subscriptions (GLock and active_tx). Sound because write
-    /// locks are only held and the ring is only consulted while `active_tx > 0`
-    /// (release precedes the decrement), and any change to either subscribed word
-    /// dooms this hardware transaction.
-    fn try_fast_quiet<W: Workload>(&mut self, w: &mut W) -> Result<(), AbortCode> {
-        w.reset();
-        let rt = self.th.rt;
-        let mut tx = self.th.hw.begin();
-        let body: TxResult<()> = 'b: {
-            match tx.read(rt.glock()) {
-                Ok(0) => {}
-                Ok(_) => break 'b Err(tx.xabort(XABORT_GLOCK)),
-                Err(e) => break 'b Err(e),
-            }
-            match tx.read(rt.active_tx()) {
-                Ok(0) => {}
-                Ok(_) => break 'b Err(tx.xabort(XABORT_NOT_QUIET)),
-                Err(e) => break 'b Err(e),
-            }
-            let mut ctx = RawCtx { tx: &mut tx };
-            for seg in 0..w.segments() {
-                if let Err(e) = w.segment(seg, &mut ctx) {
-                    break 'b Err(e);
-                }
-            }
-            Ok(())
-        };
-        let res = match body {
-            Ok(()) => tx.commit(),
-            Err(code) => {
-                drop(tx);
-                Err(code)
-            }
-        };
-        if res.is_err() {
-            self.th.stats.fast_aborts += 1;
-        }
-        res
-    }
-
     /// Try the whole transaction as one lightly instrumented hardware transaction
-    /// (§5.2), choosing the quiet variant when no partitioned-path transaction was
-    /// active at begin.
+    /// (§5.2). The quiet variant ([`try_fast_quiet`]) always goes first: its
+    /// in-transaction `active_tx` subscription decides whether partitioned-path
+    /// transactions are active, so no pre-begin read of the counter is needed.
     fn try_fast<W: Workload>(&mut self, w: &mut W) -> Result<(), AbortCode> {
-        let rt = self.th.rt;
-        if self.th.hw.nt_read(rt.active_tx()) == 0 {
-            match self.try_fast_quiet(w) {
-                Err(AbortCode::Explicit(XABORT_NOT_QUIET)) => {} // re-run instrumented
-                other => return other,
-            }
+        match try_fast_quiet(&mut self.th, w) {
+            Err(AbortCode::Explicit(XABORT_NOT_QUIET)) => {} // re-run instrumented
+            other => return other,
         }
+        let rt = self.th.rt;
         w.reset();
         self.rmir.clear();
         self.wmir.clear();
@@ -595,8 +614,7 @@ impl<'r> PartHtm<'r> {
         }
         if let FastRoute::Attempt { budget } = route {
             let mut fails = 0;
-            loop {
-                wait_glock_released(&self.th);
+            for attempt in 0.. {
                 match fast(self, w) {
                     Ok(()) => {
                         self.profile.note_exit(&cfg, slot, FastExit::Commit);
@@ -611,8 +629,8 @@ impl<'r> PartHtm<'r> {
                         self.th.stats.fallbacks_partitioned += 1;
                         break;
                     }
-                    Err(_) => {
-                        fails += 1;
+                    Err(code) => {
+                        fails += fast_abort_charge(&mut self.th, attempt, code);
                         if fails >= budget {
                             // Persistent conflicts: the paper routes these to the
                             // exit path, not to partitioning (§4 "Three-paths
@@ -624,6 +642,7 @@ impl<'r> PartHtm<'r> {
                             }
                             return commit_global_lock(&mut self.th, w, mask_values);
                         }
+                        wait_glock_released(&self.th);
                     }
                 }
             }

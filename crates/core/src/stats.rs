@@ -26,6 +26,10 @@ pub struct TmStats {
     pub global_aborts: u64,
     /// STM attempts that aborted (baselines).
     pub stm_aborts: u64,
+    /// First fast-path attempts aborted by their own global-lock subscription
+    /// (`XABORT_GLOCK`, also in `fast_aborts`). Not charged to the
+    /// conflict-retry budget: each stands in for a pre-begin lock wait.
+    pub glock_entry_aborts: u64,
     /// Transactions that gave up on the fast path and entered the partitioned path.
     pub fallbacks_partitioned: u64,
     /// Transactions that fell all the way back to the global lock.
@@ -175,6 +179,7 @@ impl TmStats {
         self.commits_gl += o.commits_gl;
         self.commits_stm += o.commits_stm;
         self.fast_aborts += o.fast_aborts;
+        self.glock_entry_aborts += o.glock_entry_aborts;
         self.sub_aborts += o.sub_aborts;
         self.global_aborts += o.global_aborts;
         self.stm_aborts += o.stm_aborts;

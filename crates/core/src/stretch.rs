@@ -32,7 +32,7 @@
 //! baseline — attempts, then the lock.
 
 use crate::api::{spin_work, CommitPath, TmExecutor, TxCtx, Workload, XABORT_GLOCK};
-use crate::parthtm::{commit_global_lock, wait_glock_released};
+use crate::parthtm::{commit_global_lock, fast_abort_charge, wait_glock_released};
 use crate::runtime::{TmRuntime, TmThread};
 use htm_sim::abort::TxResult;
 use htm_sim::{Addr, HtmTx};
@@ -164,9 +164,9 @@ impl<'r> TmExecutor<'r> for StretchHtm<'r> {
 
     fn execute<W: Workload>(&mut self, w: &mut W) -> CommitPath {
         let retries = self.th.rt.config().fast_retries;
-        if !w.is_irrevocable() {
-            for _ in 0..retries {
-                wait_glock_released(&self.th);
+        if !w.is_irrevocable() && retries > 0 {
+            let mut fails = 0;
+            for attempt in 0.. {
                 match self.try_htm(w) {
                     Ok(()) => {
                         w.after_commit();
@@ -178,7 +178,14 @@ impl<'r> TmExecutor<'r> for StretchHtm<'r> {
                     // write-set overflow, or no suspend support) goes to the
                     // lock immediately, like HTM-GL's no-retry-hint policy.
                     Err(code) if code.is_resource_failure() => break,
-                    Err(_) => {}
+                    // Subscription-only entry, as on Part-HTM's fast path.
+                    Err(code) => {
+                        fails += fast_abort_charge(&mut self.th, attempt, code);
+                        if fails >= retries {
+                            break;
+                        }
+                        wait_glock_released(&self.th);
+                    }
                 }
             }
         }

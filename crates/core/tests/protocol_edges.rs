@@ -1,11 +1,14 @@
 //! Protocol-edge tests for Part-HTM / Part-HTM-O: path accounting, undo ordering,
-//! retry exhaustion, slow-path mutual exclusion, lock hygiene.
+//! retry exhaustion, slow-path mutual exclusion, lock hygiene, fast-path entry
+//! cost.
 
 use htm_sim::abort::TxResult;
+use htm_sim::vclock::{self, SchedSpec, VClock};
 use htm_sim::{Addr, HtmConfig};
 use part_htm_core::planner::PROBE_PERIOD;
 use part_htm_core::{
-    CommitPath, PartHtm, PartHtmO, TmConfig, TmExecutor, TmRuntime, TxCtx, Workload, LOCK_BIT,
+    CommitPath, PartHtm, PartHtmO, TmConfig, TmExecutor, TmRuntime, TmStats, TxCtx, Workload,
+    LOCK_BIT,
 };
 use rand::rngs::SmallRng;
 
@@ -280,4 +283,152 @@ fn validate_before_commit_only_mode_is_serializable_under_contention() {
     for i in 0..24 {
         assert_eq!(rt.verify_read(i * 8), 90, "counter {i}");
     }
+}
+
+/// A quiet fast-path commit costs the body plus the two in-transaction
+/// subscriptions (`GLock` and `active_tx`) on the virtual clock: no
+/// non-transactional pre-read of either word before the hardware begin.
+fn quiet_commit_charges_body_plus_two<'r, E: TmExecutor<'r>>(rt: &'r TmRuntime) {
+    let clock = VClock::new(1, SchedSpec::default());
+    let _core = clock.attach(0);
+    let mut e = E::new(rt, 0);
+    let mut w = Incr { n: 4, segs: 1, base: rt.app(0) };
+    for tx in 1..=3 {
+        let t0 = vclock::now().unwrap();
+        assert_eq!(e.execute(&mut w), CommitPath::Htm);
+        // Every transactional read and write charges one work unit.
+        let body = 2 * w.n as u64;
+        assert_eq!(vclock::now().unwrap() - t0, body + 2, "tx {tx}");
+    }
+    let s = &e.thread().stats;
+    assert_eq!((s.commits_htm, s.fast_aborts, s.glock_entry_aborts), (3, 0, 0));
+}
+
+#[test]
+fn quiet_commit_charges_body_plus_two_part_htm() {
+    quiet_commit_charges_body_plus_two::<PartHtm>(&TmRuntime::with_defaults(1, 64));
+}
+
+#[test]
+fn quiet_commit_charges_body_plus_two_part_htm_o() {
+    quiet_commit_charges_body_plus_two::<PartHtmO>(&TmRuntime::with_defaults(1, 64));
+}
+
+/// [`Incr`] whose first `locked_entries` whole-transaction attempts find the
+/// global lock held: `reset` (called before every attempt) takes it.
+struct LockedEntry<'r> {
+    rt: &'r TmRuntime,
+    locked_entries: u32,
+    inner: Incr,
+}
+
+impl Workload for LockedEntry<'_> {
+    type Snap = ();
+    fn sample(&mut self, _r: &mut SmallRng) {}
+    fn reset(&mut self) {
+        if self.locked_entries > 0 {
+            self.locked_entries -= 1;
+            self.rt.system().nt_write(self.rt.glock(), 1);
+        }
+    }
+    fn segment<C: TxCtx>(&mut self, seg: usize, ctx: &mut C) -> TxResult<()> {
+        self.inner.segment(seg, ctx)
+    }
+}
+
+/// Run one transaction of `E` on core 1 of a 2-core virtual clock while core
+/// 0 releases the global lock each time `LockedEntry` took it (after 10 wu,
+/// so the attempt's subscription always sees the lock held). Returns the
+/// commit path and the executor's stats.
+fn run_locked_entry<'r, E: TmExecutor<'r>>(
+    rt: &'r TmRuntime,
+    locked_entries: u32,
+) -> (CommitPath, TmStats) {
+    let clock = VClock::new(2, SchedSpec::default());
+    std::thread::scope(|s| {
+        let clock = &clock;
+        s.spawn(move || {
+            let _core = clock.attach(0);
+            let mut released = 0;
+            for _ in 0..1_000_000 {
+                if released == locked_entries {
+                    break;
+                }
+                if rt.system().nt_read(rt.glock()) != 0 {
+                    vclock::charge(10);
+                    rt.system().nt_write(rt.glock(), 0);
+                    released += 1;
+                } else {
+                    vclock::yield_now();
+                }
+            }
+            assert_eq!(released, locked_entries, "releaser starved");
+        });
+        s.spawn(move || {
+            let _core = clock.attach(1);
+            let mut e = E::new(rt, 1);
+            let inner = Incr { n: 4, segs: 1, base: rt.app(0) };
+            let path = e.execute(&mut LockedEntry { rt, locked_entries, inner });
+            (path, e.thread().stats.0.clone())
+        })
+        .join()
+        .unwrap()
+    })
+}
+
+/// With the lock held at the first attempt and a conflict budget of one, the
+/// transaction still commits on HTM: that first `XABORT_GLOCK` stands in for
+/// the pre-begin lock wait and is not charged.
+fn held_lock_at_entry_costs_no_retry<'r, E: TmExecutor<'r>>(rt: &'r TmRuntime) {
+    let (path, s) = run_locked_entry::<E>(rt, 1);
+    assert_eq!(path, CommitPath::Htm);
+    assert_eq!((s.commits_htm, s.fast_aborts, s.glock_entry_aborts), (1, 1, 1));
+    assert_eq!(s.fallbacks_gl, 0);
+    for i in 0..4 {
+        assert_eq!(rt.verify_read(i * 8), 1, "counter {i}");
+    }
+    assert_eq!(rt.system().nt_read(rt.glock()), 0, "lock released");
+    assert_eq!(rt.system().nt_read(rt.active_tx()), 0, "active_tx drained");
+}
+
+/// `XABORT_GLOCK` on every later attempt is charged as before: the budget
+/// of `fast_retries` runs out and the transaction commits under the lock.
+fn repeated_glock_aborts_exhaust_the_budget<'r, E: TmExecutor<'r>>(rt: &'r TmRuntime) {
+    let budget = rt.config().fast_retries;
+    let (path, s) = run_locked_entry::<E>(rt, budget + 1);
+    assert_eq!(path, CommitPath::GlobalLock);
+    assert_eq!(s.fast_aborts, u64::from(budget) + 1, "one free abort plus the budget");
+    assert_eq!(s.glock_entry_aborts, 1);
+    assert_eq!((s.commits_gl, s.fallbacks_gl, s.commits_htm), (1, 1, 0));
+    for i in 0..4 {
+        assert_eq!(rt.verify_read(i * 8), 1, "counter {i}");
+    }
+    assert_eq!(rt.system().nt_read(rt.glock()), 0, "lock released");
+    assert_eq!(rt.system().nt_read(rt.active_tx()), 0, "active_tx drained");
+}
+
+fn budget_rt(fast_retries: u32) -> TmRuntime {
+    TmRuntime::new(HtmConfig::default(), TmConfig { fast_retries, ..Default::default() }, 2, 64)
+}
+
+#[test]
+fn held_lock_at_entry_costs_no_retry_part_htm() {
+    held_lock_at_entry_costs_no_retry::<PartHtm>(&budget_rt(1));
+}
+
+#[test]
+fn held_lock_at_entry_costs_no_retry_part_htm_o() {
+    held_lock_at_entry_costs_no_retry::<PartHtmO>(&budget_rt(1));
+}
+
+#[test]
+fn repeated_glock_aborts_exhaust_the_budget_part_htm() {
+    repeated_glock_aborts_exhaust_the_budget::<PartHtm>(&budget_rt(1));
+    repeated_glock_aborts_exhaust_the_budget::<PartHtm>(&budget_rt(3));
+}
+
+#[test]
+fn repeated_glock_aborts_exhaust_the_budget_part_htm_o() {
+    repeated_glock_aborts_exhaust_the_budget::<PartHtmO>(&budget_rt(1));
+    repeated_glock_aborts_exhaust_the_budget::<PartHtmO>(&budget_rt(3));
 }

@@ -11,7 +11,7 @@
 
 use htm_sim::abort::TxResult;
 use part_htm_core::api::XABORT_GLOCK;
-use part_htm_core::parthtm::{run_global_lock, wait_glock_released};
+use part_htm_core::parthtm::{fast_abort_charge, run_global_lock, wait_glock_released};
 use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, Workload};
 
 use crate::htm_gl::PureHtmCtx;
@@ -66,11 +66,23 @@ impl<'r> TmExecutor<'r> for Hle<'r> {
 
     fn execute<W: Workload>(&mut self, w: &mut W) -> CommitPath {
         if !w.is_irrevocable() {
-            wait_glock_released(&self.th);
-            if self.try_elide(w).is_ok() {
-                w.after_commit();
-                self.th.stats.record_commit(CommitPath::Htm);
-                return CommitPath::Htm;
+            for attempt in 0.. {
+                match self.try_elide(w) {
+                    Ok(()) => {
+                        w.after_commit();
+                        self.th.stats.record_commit(CommitPath::Htm);
+                        return CommitPath::Htm;
+                    }
+                    // Eliding while the lock is held costs an aborted begin and
+                    // a wait, not the one elided attempt (subscription-only
+                    // entry, as on Part-HTM's fast path).
+                    Err(code) => {
+                        if fast_abort_charge(&mut self.th, attempt, code) > 0 {
+                            break;
+                        }
+                        wait_glock_released(&self.th);
+                    }
+                }
             }
         }
         self.th.stats.fallbacks_gl += 1;

@@ -4,12 +4,15 @@
 //! transaction as pure hardware a bounded number of times (the paper uses 5, §7),
 //! then acquire the global lock. Hardware attempts subscribe the lock so a fallback
 //! acquisition aborts them; the anti-lemming policy waits for the lock to be free
-//! before retrying in hardware.
+//! before retrying in hardware. The first attempt begins directly, like
+//! Part-HTM's fast path: its subscription is the entry check, and finding the
+//! lock held there costs no retry
+//! ([`fast_abort_charge`]).
 
 use htm_sim::abort::TxResult;
 use htm_sim::{Addr, HtmTx};
 use part_htm_core::api::{spin_work, XABORT_GLOCK};
-use part_htm_core::parthtm::{run_global_lock, wait_glock_released};
+use part_htm_core::parthtm::{fast_abort_charge, run_global_lock, wait_glock_released};
 use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload};
 
 /// Completely uninstrumented hardware-transaction context: HTM-GL adds no software
@@ -87,9 +90,9 @@ impl<'r> TmExecutor<'r> for HtmGl<'r> {
 
     fn execute<W: Workload>(&mut self, w: &mut W) -> CommitPath {
         let retries = self.th.rt.config().fast_retries;
-        if !w.is_irrevocable() {
-            for _ in 0..retries {
-                wait_glock_released(&self.th);
+        if !w.is_irrevocable() && retries > 0 {
+            let mut fails = 0;
+            for attempt in 0.. {
                 match self.try_htm(w) {
                     Ok(()) => {
                         w.after_commit();
@@ -100,7 +103,13 @@ impl<'r> TmExecutor<'r> for HtmGl<'r> {
                     // interrupt aborts: production fallback code takes the lock
                     // immediately instead of burning the remaining retries.
                     Err(code) if code.is_resource_failure() => break,
-                    Err(_) => {}
+                    Err(code) => {
+                        fails += fast_abort_charge(&mut self.th, attempt, code);
+                        if fails >= retries {
+                            break;
+                        }
+                        wait_glock_released(&self.th);
+                    }
                 }
             }
         }

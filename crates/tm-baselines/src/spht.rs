@@ -25,7 +25,7 @@ use htm_sim::util::FastMap;
 use htm_sim::{AbortCode, Addr, HtmTx};
 use part_htm_core::api::{spin_work, XABORT_GLOCK};
 use part_htm_core::ctx::SoftwareCtx;
-use part_htm_core::parthtm::{run_global_lock, wait_glock_released};
+use part_htm_core::parthtm::{fast_abort_charge, run_global_lock, wait_glock_released};
 use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload};
 
 use crate::htm_gl::PureHtmCtx;
@@ -249,8 +249,7 @@ impl<'r> TmExecutor<'r> for SpHt<'r> {
         }
         if !cfg.skip_fast && w.profiled_resource_limited() != Some(true) {
             let mut fails = 0;
-            loop {
-                wait_glock_released(&self.th);
+            for attempt in 0.. {
                 match self.try_htm(w) {
                     Ok(()) => {
                         w.after_commit();
@@ -262,8 +261,9 @@ impl<'r> TmExecutor<'r> for SpHt<'r> {
                         self.th.stats.fallbacks_partitioned += 1;
                         break;
                     }
-                    Err(_) => {
-                        fails += 1;
+                    // Subscription-only entry, as on Part-HTM's fast path.
+                    Err(code) => {
+                        fails += fast_abort_charge(&mut self.th, attempt, code);
                         if fails >= cfg.fast_retries {
                             self.th.stats.fallbacks_gl += 1;
                             run_global_lock(&self.th, w, false);
@@ -271,6 +271,7 @@ impl<'r> TmExecutor<'r> for SpHt<'r> {
                             self.th.stats.record_commit(CommitPath::GlobalLock);
                             return CommitPath::GlobalLock;
                         }
+                        wait_glock_released(&self.th);
                     }
                 }
             }
