@@ -29,8 +29,8 @@ use crate::api::{
 };
 use crate::ctx::{SigPair, SoftwareCtx};
 use crate::parthtm::{
-    capacity_class, commit_global_lock, fast_abort_charge, run_global_lock, try_fast_quiet,
-    wait_glock_released, GroupRun,
+    capacity_class, commit_global_lock, fast_abort_charge, run_global_lock, sub_retry_backoff,
+    try_fast_quiet, wait_glock_released, GroupRun,
 };
 use crate::planner::{build_plan, FastExit, FastProfile, FastRoute, PlanChange, PlanStep};
 use crate::runtime::{ThreadArena, TmRuntime, TmThread};
@@ -362,7 +362,7 @@ impl<'r> PartHtmO<'r> {
             // Zero-clone retries: journal the mirrors' dirtied words per attempt.
             self.journal.begin(self.rmir.spec());
             let mut tx = self.th.hw.begin();
-            let body: TxResult<()> = 'b: {
+            let body: TxResult<u64> = 'b: {
                 // Timestamp subscription (Fig. 2 lines 23–24), per shard: reading
                 // every shard's timestamp subscribes their lines, so any global
                 // commit in any shard during this sub-transaction dooms it; one
@@ -372,6 +372,7 @@ impl<'r> PartHtmO<'r> {
                     Ok(false) => break 'b Err(tx.xabort(XABORT_TS_CHANGED)),
                     Err(e) => break 'b Err(e),
                 }
+                let entry = tx.work_used();
                 {
                     let mut ctx = OSubCtx {
                         tx: &mut tx,
@@ -396,19 +397,19 @@ impl<'r> PartHtmO<'r> {
                 }
                 // No pre-commit validation and no lock-signature acquisition: the
                 // two -O extensions provide both earlier (§5.5).
-                Ok(())
+                Ok(tx.work_used() - entry)
             };
             let res = match body {
-                Ok(()) => tx.commit(),
+                Ok(work) => tx.commit().map(|()| work),
                 Err(code) => {
                     drop(tx);
                     Err(code)
                 }
             };
             match res {
-                Ok(()) => {
+                Ok(work) => {
                     self.journal.discard();
-                    return GroupRun::Committed;
+                    return GroupRun::Committed { work };
                 }
                 Err(code) => {
                     self.th.stats.sub_aborts += 1;
@@ -442,7 +443,7 @@ impl<'r> PartHtmO<'r> {
                         }
                         return GroupRun::Fail { capacity };
                     }
-                    htm_sim::vclock::yield_now();
+                    sub_retry_backoff(&mut self.th, code, attempts);
                 }
             }
         }
@@ -486,6 +487,14 @@ impl<'r> PartHtmO<'r> {
         let max_run = build_plan(w.segments(), group, |s| w.software_segment(s), &mut plan);
         self.plan = plan;
         let mut split_tx = false;
+        // Measured sub-HTM cost (see the base executor).
+        let mut cost = 0u64;
+        let mut committed = |segs: usize, work: u64| {
+            cost += work;
+            if adaptive {
+                slot.record_group_cost(segs as u32, work);
+            }
+        };
 
         for i in 0..self.plan.len() {
             let step = self.plan[i];
@@ -499,7 +508,7 @@ impl<'r> PartHtmO<'r> {
                 continue;
             }
             match self.run_group(w, step.start, step.end, &mut wrote, sub_budget) {
-                GroupRun::Committed => {}
+                GroupRun::Committed { work } => committed(step.len(), work),
                 GroupRun::Split => {
                     self.th.stats.plan_splits += 1;
                     split_tx = true;
@@ -508,7 +517,7 @@ impl<'r> PartHtmO<'r> {
                     }
                     for seg in step.start..step.end {
                         match self.run_group(w, seg, seg + 1, &mut wrote, sub_budget) {
-                            GroupRun::Committed => {}
+                            GroupRun::Committed { work } => committed(1, work),
                             GroupRun::Split => unreachable!("single segments never split"),
                             GroupRun::Fail { capacity } => {
                                 if adaptive && capacity {
@@ -551,7 +560,7 @@ impl<'r> PartHtmO<'r> {
         }
         self.cleanup_partitioned();
         // Controller feedback (see the base executor).
-        if adaptive && !split_tx && slot.record_clean_commit(max_run) == PlanChange::Merged {
+        if adaptive && !split_tx && slot.record_clean_commit(max_run, cost) == PlanChange::Merged {
             self.th.stats.plan_merges += 1;
         }
         Ok(())
@@ -574,20 +583,20 @@ impl<'r> PartHtmO<'r> {
             for attempt in 0.. {
                 match self.try_fast(w) {
                     Ok(()) => {
-                        self.profile.note_exit(&cfg, slot, FastExit::Commit);
+                        self.profile.note_exit(&cfg, slot, prior, FastExit::Commit);
                         w.after_commit();
                         self.th.stats.record_commit(CommitPath::Htm);
                         return CommitPath::Htm;
                     }
                     Err(code) if code.is_resource_failure() => {
-                        self.profile.note_exit(&cfg, slot, FastExit::Resource);
+                        self.profile.note_exit(&cfg, slot, prior, FastExit::Resource);
                         self.th.stats.fallbacks_partitioned += 1;
                         break;
                     }
                     Err(code) => {
                         fails += fast_abort_charge(&mut self.th, attempt, code);
                         if fails >= budget {
-                            self.profile.note_exit(&cfg, slot, FastExit::Exhausted);
+                            self.profile.note_exit(&cfg, slot, prior, FastExit::Exhausted);
                             if budget < cfg.fast_retries {
                                 self.th.stats.adaptive_retry_saves +=
                                     (cfg.fast_retries - budget) as u64;

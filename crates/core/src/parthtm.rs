@@ -12,7 +12,8 @@ use crate::planner::{build_plan, FastExit, FastProfile, FastRoute, PlanChange, P
 use crate::runtime::{ThreadArena, TmRuntime, TmThread};
 use crate::undo::UndoLog;
 use htm_sim::abort::TxResult;
-use htm_sim::AbortCode;
+use htm_sim::{vclock, AbortCode};
+use rand::Rng;
 use tm_sig::{ShardTimes, Sig, SigArena, SigJournal, SigSpec};
 
 /// Run a transaction under the global lock (the slow path, Fig. 1 lines 61–65):
@@ -125,10 +126,36 @@ pub(crate) fn try_fast_quiet<W: Workload>(
     res
 }
 
+/// Randomised backoff on a sub-HTM retry edge, shared by Part-HTM and
+/// Part-HTM-O. After a data conflict ([`AbortCode::Conflict`]) it waits a
+/// delay drawn uniformly from `[0, backoff_units << attempts)` work units with
+/// the thread's seeded RNG: two cores running equal-length groups collide in
+/// their commit phases (validation and lock acquisition touch the same
+/// `write_locks` line), and a loser that retried at once would end in phase
+/// with the winner's next group and collide again. The delay is charged to
+/// the virtual clock when attached and spun otherwise. Every other abort
+/// retries after a plain yield, as before.
+pub(crate) fn sub_retry_backoff(th: &mut TmThread<'_>, code: AbortCode, attempts: u32) {
+    if code == AbortCode::Conflict {
+        let span = th.rt.config().backoff_units << attempts.min(16);
+        let delay = th.rng.gen_range(0..span.max(1));
+        if vclock::is_attached() {
+            vclock::charge(delay);
+        } else {
+            spin_work(delay);
+        }
+    }
+    vclock::yield_now();
+}
+
 /// Outcome of one planned sub-HTM group on the partitioned path.
 pub(crate) enum GroupRun {
-    /// The group committed as one sub-HTM transaction.
-    Committed,
+    /// The group committed as one sub-HTM transaction after `work` units of
+    /// body work (its segments, without the commit-phase instrumentation).
+    Committed {
+        /// [`htm_sim::HtmTx::work_used`] over the group's segments.
+        work: u64,
+    },
     /// A merged (multi-segment) group died of a capacity-class abort; the
     /// caller re-runs it as single declared segments (the planner's un-merge
     /// rule — retrying a too-big group as-is would be futile).
@@ -344,7 +371,7 @@ impl<'r> PartHtm<'r> {
             // instead of saving full signature clones up front.
             self.journal.begin(self.rmir.spec());
             let mut tx = self.th.hw.begin();
-            let body: TxResult<()> = 'b: {
+            let body: TxResult<u64> = 'b: {
                 {
                     let mut ctx = SubCtx {
                         tx: &mut tx,
@@ -366,6 +393,7 @@ impl<'r> PartHtm<'r> {
                         }
                     }
                 }
+                let work = tx.work_used();
                 // Pre-commit validation, own locks masked out (Fig. 1 lines 26–28).
                 match sub_validation(
                     &mut tx,
@@ -382,19 +410,19 @@ impl<'r> PartHtm<'r> {
                 if let Err(e) = acquire_locks_tx(&mut tx, rt.write_locks(), &self.wmir) {
                     break 'b Err(e);
                 }
-                Ok(())
+                Ok(work)
             };
             let res = match body {
-                Ok(()) => tx.commit(),
+                Ok(work) => tx.commit().map(|()| work),
                 Err(code) => {
                     drop(tx);
                     Err(code)
                 }
             };
             match res {
-                Ok(()) => {
+                Ok(work) => {
                     self.journal.discard();
-                    return GroupRun::Committed;
+                    return GroupRun::Committed { work };
                 }
                 Err(code) => {
                     self.th.stats.sub_aborts += 1;
@@ -423,7 +451,7 @@ impl<'r> PartHtm<'r> {
                         }
                         return GroupRun::Fail { capacity };
                     }
-                    htm_sim::vclock::yield_now();
+                    sub_retry_backoff(&mut self.th, code, attempts);
                 }
             }
         }
@@ -507,6 +535,14 @@ impl<'r> PartHtm<'r> {
         self.plan = plan;
         let last_htm_seg = (0..nseg).rev().find(|&s| !w.software_segment(s));
         let mut split_tx = false;
+        // Measured sub-HTM cost, fed to the site's quantum-aware decisions.
+        let mut cost = 0u64;
+        let mut committed = |segs: usize, work: u64| {
+            cost += work;
+            if adaptive {
+                slot.record_group_cost(segs as u32, work);
+            }
+        };
 
         for i in 0..self.plan.len() {
             let step = self.plan[i];
@@ -525,7 +561,8 @@ impl<'r> PartHtm<'r> {
             let due =
                 |seg: usize| cfg.validate_every_sub || Some(seg) == last_htm_seg;
             match self.run_group(w, step.start, step.end, &mut wrote, sub_budget) {
-                GroupRun::Committed => {
+                GroupRun::Committed { work } => {
+                    committed(step.len(), work);
                     self.seal_group(due(step.end - 1))?;
                 }
                 GroupRun::Split => {
@@ -539,7 +576,10 @@ impl<'r> PartHtm<'r> {
                     }
                     for seg in step.start..step.end {
                         match self.run_group(w, seg, seg + 1, &mut wrote, sub_budget) {
-                            GroupRun::Committed => self.seal_group(due(seg))?,
+                            GroupRun::Committed { work } => {
+                                committed(1, work);
+                                self.seal_group(due(seg))?;
+                            }
                             GroupRun::Split => unreachable!("single segments never split"),
                             GroupRun::Fail { capacity } => {
                                 if adaptive && capacity {
@@ -580,7 +620,7 @@ impl<'r> PartHtm<'r> {
         self.cleanup_partitioned();
         // Feed the controller: a commit with no capacity trouble earns merge
         // credit (up to the longest mergeable run this shape declares).
-        if adaptive && !split_tx && slot.record_clean_commit(max_run) == PlanChange::Merged {
+        if adaptive && !split_tx && slot.record_clean_commit(max_run, cost) == PlanChange::Merged {
             self.th.stats.plan_merges += 1;
         }
         Ok(())
@@ -617,7 +657,7 @@ impl<'r> PartHtm<'r> {
             for attempt in 0.. {
                 match fast(self, w) {
                     Ok(()) => {
-                        self.profile.note_exit(&cfg, slot, FastExit::Commit);
+                        self.profile.note_exit(&cfg, slot, prior, FastExit::Commit);
                         w.after_commit();
                         self.th.stats.record_commit(CommitPath::Htm);
                         return CommitPath::Htm;
@@ -625,7 +665,7 @@ impl<'r> PartHtm<'r> {
                     Err(code) if code.is_resource_failure() => {
                         // Capacity or timer: this is the class Part-HTM exists
                         // for — partition it.
-                        self.profile.note_exit(&cfg, slot, FastExit::Resource);
+                        self.profile.note_exit(&cfg, slot, prior, FastExit::Resource);
                         self.th.stats.fallbacks_partitioned += 1;
                         break;
                     }
@@ -635,7 +675,7 @@ impl<'r> PartHtm<'r> {
                             // Persistent conflicts: the paper routes these to the
                             // exit path, not to partitioning (§4 "Three-paths
                             // Execution").
-                            self.profile.note_exit(&cfg, slot, FastExit::Exhausted);
+                            self.profile.note_exit(&cfg, slot, prior, FastExit::Exhausted);
                             if budget < cfg.fast_retries {
                                 self.th.stats.adaptive_retry_saves +=
                                     (cfg.fast_retries - budget) as u64;

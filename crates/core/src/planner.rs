@@ -13,8 +13,10 @@
 //!    resource failures skip the fast path directly, re-probing every
 //!    [`PROBE_PERIOD`]th transaction. The static
 //!    [`crate::Workload::profiled_resource_limited`] hint is folded in as a
-//!    *prior*: it routes the site until the first observed fast-path outcome,
-//!    after which the learned EWMA decides.
+//!    *prior*: it routes the site until the first observed fast-path outcome
+//!    and seeds the learned EWMA, which decides from then on. A demoted site
+//!    whose measured sub-HTM transaction cost already reaches the HTM timer
+//!    quantum skips the re-probe too: a whole-transaction attempt is doomed.
 //! 2. **Dynamic segment planning** — the executor runs a *plan*
 //!    ([`build_plan`]) that merges up to `group` consecutive non-software
 //!    segments into one sub-HTM transaction each. The controller doubles
@@ -24,6 +26,8 @@
 //!    overflowing undo log). A `limit` watermark remembers the largest group
 //!    that survived, so the plan converges instead of oscillating; the limit
 //!    re-probes upward after [`RAISE_AFTER`] clean commits at the plateau.
+//!    A merge or re-probe whose group the measured per-segment cost predicts
+//!    to reach the timer quantum is skipped instead of probed.
 //! 3. **Adaptive retry budgets** — per-site `fast_retries`/`sub_retries`
 //!    scaled down from the paper defaults when the observed odds say the
 //!    retries are futile (persistent conflict exhaustion on the fast path,
@@ -84,6 +88,10 @@ const F_RES: u32 = 1;
 const F_EXH: u32 = 1 << 1;
 const F_SUBCAP: u32 = 1 << 2;
 
+/// Cost cells before their first sample, and the quantum of a table built
+/// without one: no quantum-aware decision fires on either.
+const UNMEASURED: u64 = u64::MAX;
+
 /// How a fast-path episode ended (the samples the fast-gate EWMAs consume).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FastExit {
@@ -113,6 +121,8 @@ pub struct SiteSlot {
     /// [`backend_group_cap`]). Plans, limits and plateau re-probes never
     /// exceed it.
     cap: u32,
+    /// HTM timer quantum in work units ([`UNMEASURED`] = none known).
+    quantum: u64,
     /// Claimed site id + 1 (0 = empty slot).
     key: AtomicU32,
     /// Which EWMAs have samples (`F_*` bits).
@@ -136,13 +146,20 @@ pub struct SiteSlot {
     credit: AtomicU32,
     /// Transactions routed through this site (drives the demotion re-probe).
     clock: AtomicU64,
+    /// Smallest measured sub-HTM body cost per declared segment, in work
+    /// units (see [`SiteSlot::record_group_cost`]).
+    seg_cost: AtomicU64,
+    /// Smallest measured sub-HTM body cost of a clean partitioned
+    /// transaction, in work units (see [`SiteSlot::record_clean_commit`]).
+    tx_cost: AtomicU64,
 }
 
 impl SiteSlot {
-    fn new(init_group: u32, cap: u32) -> Self {
+    fn new(init_group: u32, cap: u32, quantum: u64) -> Self {
         let cap = cap.clamp(1, MAX_GROUP);
         Self {
             cap,
+            quantum,
             key: AtomicU32::new(0),
             flags: AtomicU32::new(0),
             res_ewma: AtomicU32::new(0),
@@ -153,6 +170,8 @@ impl SiteSlot {
             limit: AtomicU32::new(cap),
             credit: AtomicU32::new(0),
             clock: AtomicU64::new(0),
+            seg_cost: AtomicU64::new(UNMEASURED),
+            tx_cost: AtomicU64::new(UNMEASURED),
         }
     }
 
@@ -198,8 +217,14 @@ impl SiteSlot {
         self.fut_ewma.load(Relaxed) >= DEMOTE_THRESHOLD
     }
 
-    /// Feed one fast-path episode outcome.
-    pub fn record_fast_exit(&self, exit: FastExit) {
+    /// Feed one fast-path episode outcome. The first resource sample starts
+    /// the EWMA from the static `prior` (full odds for `Some(true)`), so a
+    /// prior confirmed by its first outcome stays demoted.
+    pub fn record_fast_exit(&self, exit: FastExit, prior: Option<bool>) {
+        if exit != FastExit::Exhausted && self.flags.load(Relaxed) & F_RES == 0 {
+            let seed = if prior == Some(true) { EWMA_ONE } else { 0 };
+            self.res_ewma.store(seed, Relaxed);
+        }
         match exit {
             FastExit::Commit => {
                 Self::ewma(&self.res_ewma, false);
@@ -243,6 +268,40 @@ impl SiteSlot {
         self.scaled_budget(F_SUBCAP, &self.sub_cap_ewma, default)
     }
 
+    /// Does a transaction of this site outlast the HTM timer quantum? True
+    /// once a clean partitioned commit measured its sub-HTM cost at or above
+    /// the quantum: a whole-transaction fast attempt would then be doomed.
+    #[inline]
+    pub fn outlasts_quantum(&self) -> bool {
+        let cost = self.tx_cost.load(Relaxed);
+        cost != UNMEASURED && cost >= self.quantum
+    }
+
+    /// Is a group of `segs` declared segments predicted to finish inside the
+    /// quantum? True until a per-segment cost is measured.
+    fn group_fits(&self, segs: u32) -> bool {
+        let per = self.seg_cost.load(Relaxed);
+        per == UNMEASURED || per.saturating_mul(u64::from(segs)) < self.quantum
+    }
+
+    /// Keep the smaller of `cell` and `sample` (lossy under races; a plain
+    /// load first, so the steady state writes nothing).
+    #[inline]
+    fn keep_min(cell: &AtomicU64, sample: u64) {
+        if sample < cell.load(Relaxed) {
+            cell.fetch_min(sample, Relaxed);
+        }
+    }
+
+    /// A sub-HTM group of `segs` declared segments committed after `work`
+    /// units of body work ([`htm_sim::HtmTx::work_used`] over its segments,
+    /// commit-phase validation and locking excluded). The smallest cost per
+    /// segment is kept, so a predicted group cost can only err low — toward
+    /// probing the merge.
+    pub fn record_group_cost(&self, segs: u32, work: u64) {
+        Self::keep_min(&self.seg_cost, work / u64::from(segs.max(1)));
+    }
+
     /// The merge factor the executor should plan with right now.
     #[inline]
     pub fn plan_group(&self) -> u32 {
@@ -272,12 +331,16 @@ impl SiteSlot {
 
     /// A partitioned commit completed without capacity trouble. `max_run` is
     /// the longest run of consecutive mergeable (non-software) segments the
-    /// transaction declared — the largest group worth planning. Returns
-    /// [`PlanChange::Merged`] when the plan grew.
-    pub fn record_clean_commit(&self, max_run: u32) -> PlanChange {
+    /// transaction declared — the largest group worth planning; `work` is the
+    /// summed body cost of its committed sub-HTM groups (the smallest is kept,
+    /// see [`SiteSlot::outlasts_quantum`]). Returns [`PlanChange::Merged`]
+    /// when the plan grew; a merge or plateau re-probe predicted to reach the
+    /// quantum is skipped.
+    pub fn record_clean_commit(&self, max_run: u32, work: u64) -> PlanChange {
         Self::ewma(&self.sub_cap_ewma, false);
         Self::ewma(&self.fut_ewma, false);
         self.set_flag(F_SUBCAP);
+        Self::keep_min(&self.tx_cost, work);
         let group = self.group.load(Relaxed);
         let ceiling = max_run.clamp(1, self.cap);
         if group >= ceiling {
@@ -285,20 +348,27 @@ impl SiteSlot {
         }
         let credit = self.credit.fetch_add(1, Relaxed) + 1;
         let limit = self.limit.load(Relaxed);
-        if group < limit && credit >= MERGE_AFTER {
-            self.group.store((group * 2).min(limit).min(ceiling), Relaxed);
-            self.credit.store(0, Relaxed);
-            return PlanChange::Merged;
+        let merge = group < limit && credit >= MERGE_AFTER;
+        // Plateau re-probe: the capacity landscape may have changed (e.g.
+        // less cache pressure); try one size up and let a split re-cap it.
+        let raise = group >= limit && limit < ceiling && credit >= RAISE_AFTER;
+        if !merge && !raise {
+            return PlanChange::None;
         }
-        if group >= limit && limit < ceiling && credit >= RAISE_AFTER {
-            // Plateau re-probe: the capacity landscape may have changed (e.g.
-            // less cache pressure); try one size up and let a split re-cap it.
+        self.credit.store(0, Relaxed);
+        let next = if merge {
+            (group * 2).min(limit).min(ceiling)
+        } else {
+            (group * 2).min(ceiling)
+        };
+        if !self.group_fits(next) {
+            return PlanChange::None;
+        }
+        if raise {
             self.limit.store((limit * 2).min(ceiling), Relaxed);
-            self.group.store((group * 2).min(ceiling), Relaxed);
-            self.credit.store(0, Relaxed);
-            return PlanChange::Merged;
         }
-        PlanChange::None
+        self.group.store(next, Relaxed);
+        PlanChange::Merged
     }
 }
 
@@ -328,19 +398,21 @@ pub struct SiteTable {
 
 impl SiteTable {
     /// Build the table; fresh sites start planning `init_group` segments per
-    /// sub-HTM transaction, up to [`MAX_GROUP`].
+    /// sub-HTM transaction, up to [`MAX_GROUP`], with no timer quantum known.
     pub fn new(init_group: u32) -> Self {
-        Self::with_group_cap(init_group, MAX_GROUP)
+        Self::with_limits(init_group, MAX_GROUP, UNMEASURED)
     }
 
-    /// Build the table with a hard merge-factor ceiling (the backend's
-    /// capacity class, see [`backend_group_cap`]): `init_group`, every
-    /// learned plan, and the plateau re-probe are all clamped to `cap`.
-    /// `cap = MAX_GROUP` reproduces [`SiteTable::new`] exactly.
-    pub fn with_group_cap(init_group: u32, cap: u32) -> Self {
+    /// Build the table with the backend's limits: a hard merge-factor
+    /// ceiling (its capacity class, see [`backend_group_cap`]) that
+    /// `init_group`, every learned plan and the plateau re-probe are clamped
+    /// to, and the HTM timer `quantum` the measured sub-HTM costs are
+    /// compared against. `with_limits(g, MAX_GROUP, u64::MAX)` reproduces
+    /// [`SiteTable::new`] exactly.
+    pub fn with_limits(init_group: u32, cap: u32, quantum: u64) -> Self {
         Self {
             slots: (0..SITE_SLOTS)
-                .map(|_| CacheAligned::new(SiteSlot::new(init_group, cap)))
+                .map(|_| CacheAligned::new(SiteSlot::new(init_group, cap, quantum)))
                 .collect(),
         }
     }
@@ -502,7 +574,9 @@ impl FastProfile {
     /// routes the transaction straight to the partitioned path or, on a site
     /// learned futile, straight to the global lock. Every
     /// [`PROBE_PERIOD`]th tick of a demoted or futile site still attempts
-    /// the fast path. [`FastRoute::Serialize`] is never returned under
+    /// the fast path, except on a demoted site that
+    /// [outlasts the quantum](SiteSlot::outlasts_quantum).
+    /// [`FastRoute::Serialize`] is never returned under
     /// `adaptive_plan: false`.
     pub fn route(
         &mut self,
@@ -536,7 +610,7 @@ impl FastProfile {
         if cfg.skip_fast {
             return FastRoute::Demote;
         }
-        if slot.wants_demotion(prior) && !probe {
+        if slot.wants_demotion(prior) && (!probe || slot.outlasts_quantum()) {
             stats.site_demotions += 1;
             return FastRoute::Demote;
         }
@@ -546,8 +620,14 @@ impl FastProfile {
     }
 
     /// Feed the episode outcome back (updates the legacy streak or the site
-    /// EWMAs, whichever mode is live).
-    pub fn note_exit(&mut self, cfg: &TmConfig, slot: &SiteSlot, exit: FastExit) {
+    /// EWMAs, whichever mode is live; `prior` is the hint `route` saw).
+    pub fn note_exit(
+        &mut self,
+        cfg: &TmConfig,
+        slot: &SiteSlot,
+        prior: Option<bool>,
+        exit: FastExit,
+    ) {
         if !cfg.adaptive_plan {
             match exit {
                 FastExit::Commit => self.resource_streak = 0,
@@ -558,7 +638,7 @@ impl FastProfile {
             }
             return;
         }
-        slot.record_fast_exit(exit);
+        slot.record_fast_exit(exit, prior);
     }
 }
 
@@ -569,7 +649,7 @@ mod tests {
     fn demote_after(slot: &SiteSlot) -> u32 {
         let mut n = 0;
         while !slot.wants_demotion(None) {
-            slot.record_fast_exit(FastExit::Resource);
+            slot.record_fast_exit(FastExit::Resource, None);
             n += 1;
             assert!(n < 100, "demotion never reached");
         }
@@ -590,8 +670,8 @@ mod tests {
         // ...and once sampled, the learned EWMA overrides the prior.
         assert!(s.wants_demotion(Some(false)));
         // Probe successes re-admit.
-        s.record_fast_exit(FastExit::Commit);
-        s.record_fast_exit(FastExit::Commit);
+        s.record_fast_exit(FastExit::Commit, None);
+        s.record_fast_exit(FastExit::Commit, None);
         assert!(!s.wants_demotion(Some(true)), "prior no longer absolute");
     }
 
@@ -601,7 +681,7 @@ mod tests {
         let s = t.slot(1);
         assert_eq!(s.fast_budget(5), 5, "unseeded budget is the default");
         for _ in 0..32 {
-            s.record_fast_exit(FastExit::Exhausted);
+            s.record_fast_exit(FastExit::Exhausted, None);
         }
         assert_eq!(s.fast_budget(5), 1, "persistent exhaustion floors at 1");
         assert_eq!(s.fast_budget(1), 1);
@@ -610,7 +690,7 @@ mod tests {
         }
         assert_eq!(s.sub_budget(5), 1);
         for _ in 0..32 {
-            s.record_clean_commit(1);
+            s.record_clean_commit(1, 0);
         }
         assert_eq!(s.sub_budget(5), 5, "clean history restores the default");
     }
@@ -622,7 +702,7 @@ mod tests {
         assert_eq!(s.plan_group(), 1);
         let mut merges = 0;
         for _ in 0..2 * MERGE_AFTER {
-            if s.record_clean_commit(16) == PlanChange::Merged {
+            if s.record_clean_commit(16, 0) == PlanChange::Merged {
                 merges += 1;
             }
         }
@@ -632,12 +712,12 @@ mod tests {
         s.record_capacity_split(4);
         assert_eq!(s.plan_group(), 2);
         for _ in 0..4 * MERGE_AFTER {
-            s.record_clean_commit(16);
+            s.record_clean_commit(16, 0);
         }
         assert_eq!(s.plan_group(), 2, "limit pins the plateau");
         // The plateau re-probes upward only after RAISE_AFTER clean commits.
         for _ in 0..RAISE_AFTER {
-            s.record_clean_commit(16);
+            s.record_clean_commit(16, 0);
         }
         assert_eq!(s.plan_group(), 4, "plateau re-probe");
     }
@@ -653,11 +733,11 @@ mod tests {
 
     #[test]
     fn group_cap_bounds_merges_and_plateau_reprobes() {
-        let t = SiteTable::with_group_cap(8, 2);
+        let t = SiteTable::with_limits(8, 2, u64::MAX);
         let s = t.slot(5);
         assert_eq!(s.plan_group(), 2, "init group clamped to the cap");
         for _ in 0..10 * RAISE_AFTER {
-            s.record_clean_commit(16);
+            s.record_clean_commit(16, 0);
         }
         assert_eq!(s.plan_group(), 2, "plateau re-probe never exceeds the cap");
     }
@@ -667,7 +747,7 @@ mod tests {
         let t = SiteTable::new(1);
         let s = t.slot(9);
         for _ in 0..10 * RAISE_AFTER {
-            s.record_clean_commit(2);
+            s.record_clean_commit(2, 0);
         }
         assert_eq!(s.plan_group(), 2, "no point planning past the longest run");
     }
@@ -747,7 +827,7 @@ mod tests {
         );
         // Three resource failures demote; every 64th transaction re-probes.
         for _ in 0..3 {
-            p.note_exit(&cfg, slot, FastExit::Resource);
+            p.note_exit(&cfg, slot, None, FastExit::Resource);
         }
         let mut skipped = 0;
         let mut probed = 0;
@@ -838,7 +918,7 @@ mod tests {
             s.record_sub_futility(); // saturate the EWMA
         }
         assert!(s.futile());
-        s.record_clean_commit(1);
+        s.record_clean_commit(1, 0);
         assert!(!s.futile(), "one clean commit re-admits a saturated site");
         let mut stats = TmStats::default();
         s.tick();
@@ -853,18 +933,156 @@ mod tests {
         let t = SiteTable::new(1);
         let fresh = t.slot(14);
         for _ in 0..64 {
-            fresh.record_fast_exit(FastExit::Exhausted);
-            fresh.record_fast_exit(FastExit::Resource);
+            fresh.record_fast_exit(FastExit::Exhausted, None);
+            fresh.record_fast_exit(FastExit::Resource, None);
         }
         assert!(!fresh.futile(), "fast exits set futility");
         let learned = t.slot(15);
         futile_after(learned);
         for exit in [FastExit::Commit, FastExit::Resource, FastExit::Exhausted] {
             for _ in 0..64 {
-                learned.record_fast_exit(exit);
+                learned.record_fast_exit(exit, None);
             }
         }
         assert!(learned.futile(), "fast exits cleared futility");
+    }
+
+    /// Route `n` transactions through `slot` with the static `prior`,
+    /// feeding a resource failure back for every fast attempt (a site whose
+    /// fast path never fits); returns `(attempts, demotions)`.
+    fn route_doomed(cfg: &TmConfig, slot: &SiteSlot, prior: Option<bool>, n: u64) -> (u64, u64) {
+        let mut p = FastProfile::default();
+        let mut stats = TmStats::default();
+        let mut attempts = 0;
+        for _ in 0..n {
+            if let FastRoute::Attempt { .. } = p.route(cfg, slot, prior, &mut stats) {
+                attempts += 1;
+                p.note_exit(cfg, slot, prior, FastExit::Resource);
+            }
+        }
+        (attempts, stats.site_demotions)
+    }
+
+    #[test]
+    fn a_confirmed_prior_keeps_the_site_demoted() {
+        // The hint says "resource-limited"; tick 0 probes, fails, and that
+        // first confirmation must not un-demote the site (it used to start
+        // the EWMA from 0, costing about four more doomed fast attempts).
+        let t = SiteTable::new(1);
+        let s = t.slot(20);
+        let cfg = TmConfig::default();
+        let (attempts, demotions) = route_doomed(&cfg, s, Some(true), 2 * PROBE_PERIOD);
+        assert_eq!(attempts, 2, "only ticks 0 and 64 probe");
+        assert_eq!(demotions, 2 * PROBE_PERIOD - 2);
+        // A refuting first outcome still moves the learned odds down.
+        let fresh = t.slot(21);
+        fresh.record_fast_exit(FastExit::Commit, Some(true));
+        fresh.record_fast_exit(FastExit::Commit, Some(true));
+        assert!(!fresh.wants_demotion(Some(true)), "commits re-admit the site");
+    }
+
+    #[test]
+    fn merges_and_plateau_reprobes_stop_below_the_quantum() {
+        // 15k wu per segment against a 40k quantum: a group of 2 fits, 4 not.
+        let t = SiteTable::with_limits(1, MAX_GROUP, 40_000);
+        let s = t.slot(22);
+        s.record_group_cost(1, 15_000);
+        for _ in 0..4 * RAISE_AFTER {
+            s.record_clean_commit(4, 30_000);
+        }
+        assert_eq!(s.plan_group(), 2, "merge past the quantum was planned");
+        // Plateau at 2 after a capacity split of 4: the re-probe to 4 is
+        // skipped as well.
+        let wide = SiteTable::with_limits(4, MAX_GROUP, 40_000);
+        let p = wide.slot(23);
+        p.record_group_cost(2, 30_000);
+        p.record_capacity_split(4);
+        for _ in 0..4 * RAISE_AFTER {
+            assert_eq!(p.record_clean_commit(4, 30_000), PlanChange::None);
+        }
+        assert_eq!(p.plan_group(), 2, "plateau re-probe past the quantum");
+        // Without a measured cost the same site still merges and re-probes:
+        // an unknown cost errs toward probing.
+        let u = wide.slot(24);
+        u.record_capacity_split(4);
+        for _ in 0..RAISE_AFTER {
+            u.record_clean_commit(4, 0);
+        }
+        assert_eq!(u.plan_group(), 4, "unmeasured site did not re-probe");
+    }
+
+    #[test]
+    fn group_costs_keep_the_cheapest_segment() {
+        let t = SiteTable::with_limits(1, MAX_GROUP, 40_000);
+        let s = t.slot(25);
+        s.record_group_cost(2, 50_000); // 25k per segment: 2 would not fit
+        s.record_group_cost(1, 19_000); // the cheaper sample decides
+        for _ in 0..MERGE_AFTER {
+            s.record_clean_commit(4, 38_000);
+        }
+        assert_eq!(s.plan_group(), 2, "38k predicted for 2 segments fits");
+    }
+
+    #[test]
+    fn sites_outlasting_the_quantum_are_demoted_at_probe_ticks() {
+        let cfg = TmConfig::default();
+        let t = SiteTable::with_limits(1, MAX_GROUP, 40_000);
+        let s = t.slot(26);
+        demote_after(s);
+        for cost in [40_000, 60_000] {
+            s.record_clean_commit(4, cost); // the smallest cost is kept
+            assert!(s.outlasts_quantum());
+            let (attempts, demotions) = route_doomed(&cfg, s, None, 2 * PROBE_PERIOD);
+            assert_eq!(attempts, 0, "probed a site that outlasts the quantum");
+            assert_eq!(demotions, 2 * PROBE_PERIOD);
+        }
+    }
+
+    #[test]
+    fn sites_inside_the_quantum_still_probe() {
+        let cfg = TmConfig::default();
+        let t = SiteTable::with_limits(1, MAX_GROUP, 40_000);
+        let s = t.slot(27);
+        demote_after(s);
+        s.record_clean_commit(4, 39_999);
+        assert!(!s.outlasts_quantum());
+        let (attempts, _) = route_doomed(&cfg, s, None, 2 * PROBE_PERIOD);
+        assert_eq!(attempts, 2, "every PROBE_PERIODth transaction probes");
+        // A site whose fast path is admitted is never demoted on cost alone.
+        let admitted = t.slot(28);
+        admitted.record_clean_commit(4, 60_000);
+        let (attempts, demotions) = route_doomed(&cfg, admitted, Some(false), 1);
+        assert_eq!((attempts, demotions), (1, 0));
+    }
+
+    #[test]
+    fn static_mode_ignores_costs_and_the_quantum() {
+        // `adaptive_plan: false` routes exactly as the legacy profiler did,
+        // whatever the site measured: same sequence as on an untouched slot.
+        let cfg = TmConfig {
+            adaptive_plan: false,
+            ..TmConfig::default()
+        };
+        let t = SiteTable::with_limits(1, MAX_GROUP, 40_000);
+        let measured = t.slot(29);
+        measured.record_group_cost(1, 60_000);
+        measured.record_clean_commit(4, 60_000);
+        let plain = SiteTable::new(1);
+        for prior in [None, Some(true), Some(false)] {
+            let routes = |slot: &SiteSlot| {
+                let mut p = FastProfile::default();
+                let mut stats = TmStats::default();
+                let seen: Vec<FastRoute> = (0..2 * PROBE_PERIOD)
+                    .map(|_| {
+                        let r = p.route(&cfg, slot, prior, &mut stats);
+                        p.note_exit(&cfg, slot, prior, FastExit::Resource);
+                        r
+                    })
+                    .collect();
+                (seen, stats.site_demotions)
+            };
+            assert_eq!(routes(measured), routes(plain.slot(29)), "prior {prior:?}");
+        }
     }
 
     #[test]

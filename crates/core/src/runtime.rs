@@ -225,7 +225,9 @@ impl TmRuntime {
             Some(_) => crate::planner::backend_group_cap(sys.capacity_model().write_lines_max()),
             None => crate::planner::MAX_GROUP,
         };
-        let sites = SiteTable::with_group_cap(cfg.plan_group, group_cap);
+        // The timer quantum is read once here: the planner compares measured
+        // sub-HTM costs against it (merge predictions, fast-path re-probes).
+        let sites = SiteTable::with_limits(cfg.plan_group, group_cap, sys.config().quantum);
         tm_sig::kernels::set_scalar(cfg.scalar_kernels);
         Self {
             sys,

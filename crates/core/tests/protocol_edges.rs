@@ -1,6 +1,6 @@
 //! Protocol-edge tests for Part-HTM / Part-HTM-O: path accounting, undo ordering,
 //! retry exhaustion, slow-path mutual exclusion, lock hygiene, fast-path entry
-//! cost.
+//! cost, desynchronised sub-HTM conflict retries.
 
 use htm_sim::abort::TxResult;
 use htm_sim::vclock::{self, SchedSpec, VClock};
@@ -431,4 +431,96 @@ fn repeated_glock_aborts_exhaust_the_budget_part_htm() {
 fn repeated_glock_aborts_exhaust_the_budget_part_htm_o() {
     repeated_glock_aborts_exhaust_the_budget::<PartHtmO>(&budget_rt(1));
     repeated_glock_aborts_exhaust_the_budget::<PartHtmO>(&budget_rt(3));
+}
+
+/// Fig. 3(c) shape in miniature: `iters` read-compute-write steps per
+/// declared segment on this core's own counters, `work` units each.
+struct Compute {
+    base: Addr,
+    segs: usize,
+    iters: usize,
+    work: u64,
+}
+
+impl Workload for Compute {
+    type Snap = ();
+    fn sample(&mut self, _r: &mut SmallRng) {}
+    fn segments(&self) -> usize {
+        self.segs
+    }
+    fn segment<C: TxCtx>(&mut self, seg: usize, ctx: &mut C) -> TxResult<()> {
+        for i in seg * self.iters..(seg + 1) * self.iters {
+            let a = self.base + (i * 8) as Addr;
+            let v = ctx.read(a)?;
+            ctx.work(self.work)?;
+            ctx.write(a, v + 1)?;
+        }
+        Ok(())
+    }
+}
+
+/// Two virtual cores run identical-length partitioned transactions on
+/// disjoint counters (default schedule). Their sub-HTM commit phases share
+/// the `write_locks` line, so a group can lose a conflict to its twin; the
+/// randomised retry backoff must keep the loser out of phase, so no group
+/// takes two conflict aborts in a row.
+fn lockstep_retries_desynchronise<'r, E: TmExecutor<'r>>(rt: &'r TmRuntime) {
+    const TXS: usize = 24;
+    let (segs, iters) = (4, 5);
+    let clock = VClock::new(2, SchedSpec::default());
+    let traces: Vec<Vec<htm_sim::trace::Event>> = std::thread::scope(|s| {
+        let clock = &clock;
+        let cores: Vec<_> = (0..2)
+            .map(|core| {
+                s.spawn(move || {
+                    let _core = clock.attach(core);
+                    let mut e = E::new(rt, core);
+                    let base = rt.app(core * segs * iters * 8);
+                    let mut w = Compute { base, segs, iters, work: 3_000 };
+                    for _ in 0..TXS {
+                        assert_eq!(e.execute(&mut w), CommitPath::SubHtm);
+                    }
+                    e.thread().hw.trace.events().cloned().collect()
+                })
+            })
+            .collect();
+        cores.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    let mut conflicts = 0;
+    for (core, events) in traces.iter().enumerate() {
+        let mut after_conflict = false;
+        for (i, ev) in events.iter().enumerate() {
+            match ev {
+                htm_sim::trace::Event::Begin => {}
+                htm_sim::trace::Event::Abort { code: htm_sim::AbortCode::Conflict, .. } => {
+                    assert!(!after_conflict, "core {core}: consecutive conflict aborts at event {i}");
+                    after_conflict = true;
+                    conflicts += 1;
+                }
+                _ => after_conflict = false,
+            }
+        }
+        for i in 0..segs * iters {
+            let a = core * segs * iters * 8 + i * 8;
+            assert_eq!(rt.verify_read(a), TXS as u64, "core {core} counter {i}");
+        }
+    }
+    assert_eq!(rt.system().nt_read(rt.glock()), 0, "lock released");
+    assert_eq!(rt.system().nt_read(rt.active_tx()), 0, "active_tx drained");
+    assert!(conflicts > 0, "the twin groups never collided: the test exercises nothing");
+}
+
+fn lockstep_rt() -> TmRuntime {
+    let htm = HtmConfig { quantum: 40_000, trace_capacity: 1 << 14, ..HtmConfig::default() };
+    TmRuntime::new(htm, TmConfig { skip_fast: true, ..Default::default() }, 2, 2 * 20 * 8)
+}
+
+#[test]
+fn lockstep_retries_desynchronise_part_htm() {
+    lockstep_retries_desynchronise::<PartHtm>(&lockstep_rt());
+}
+
+#[test]
+fn lockstep_retries_desynchronise_part_htm_o() {
+    lockstep_retries_desynchronise::<PartHtmO>(&lockstep_rt());
 }

@@ -79,7 +79,7 @@ pub const SCENARIOS: &[(&str, usize, &str)] = &[
     (
         "planner",
         2,
-        "wide multi-segment Part-HTM on a tiny L1: conflicting fast paths fall to the global lock",
+        "wide multi-segment Part-HTM overflowing an 8x4 L1: the planner merges and splits sub-HTMs",
     ),
     (
         "futile-serialize",
@@ -107,6 +107,11 @@ pub const SCENARIOS: &[(&str, usize, &str)] = &[
         "tm-server-shaped group commit: width-classed batch of per-request segments + hot line",
     ),
     (
+        "lockstep-retry",
+        2,
+        "twin equal-length partitioned transactions on disjoint data: desynchronised sub-HTM retries",
+    ),
+    (
         "order-canary",
         2,
         "schedule-dependent canary (commit order); violated by design at depth >= 2",
@@ -123,6 +128,7 @@ pub const BOUNDED_SET: &[&str] = &[
     "ring-epoch",
     "power-stretch",
     "server-batch",
+    "lockstep-retry",
 ];
 
 /// Increment `addr` once per transaction (single segment).
@@ -139,20 +145,18 @@ impl Workload for Inc {
 
 /// Increment `LINES` one-per-line counters in `SEGS` declared segments.
 ///
-/// Under the `planner` scenario (both cores on the same counters, 4x2 L1)
-/// this does *not* reach the partitioned path or the segment planner: the
-/// two cores' fast attempts conflict until the fast-path budget runs out,
-/// and every transaction commits on the global lock (default schedule: 24
-/// conflict aborts, 8 global-lock commits, no sub-HTM begin). A single core
-/// would not get further: a 4x2 L1 cannot hold one sub-HTM's signature,
-/// undo-log and write-lock lines, so every partitioned attempt dies of
-/// capacity.
+/// Under the `planner` scenario (each core on its own counters, 8x4 L1) the
+/// whole transaction overflows the L1's ways, so the fast path dies of
+/// capacity, while one declared segment plus the sub-HTM's signature,
+/// undo-log and write-lock lines fits: transactions commit on the
+/// partitioned path, where the planner merges segments and splits a merged
+/// group that overflows.
 struct WideInc {
     base: htm_sim::Addr,
 }
 
 impl WideInc {
-    const LINES: u32 = 12;
+    const LINES: u32 = 40;
     const SEGS: usize = 4;
 }
 
@@ -167,6 +171,39 @@ impl Workload for WideInc {
         for i in 0..per {
             let addr = self.base + ((s * per + i) as u32) * 8;
             let v = ctx.read(addr)?;
+            ctx.write(addr, v + 1)?;
+        }
+        Ok(())
+    }
+}
+
+/// Fig. 3(c) in miniature: `SEGS` declared segments of `ITERS`
+/// read-compute-write steps each on the core's own counters. Two cores run
+/// it in the `lockstep-retry` scenario with the fast path skipped, so their
+/// equal-length sub-HTM groups reach their commit phases — which share the
+/// `write_locks` line — at the same virtual times.
+struct TwinCompute {
+    base: htm_sim::Addr,
+}
+
+impl TwinCompute {
+    const SEGS: usize = 4;
+    const ITERS: u32 = 2;
+    const WORK: u64 = 40;
+    const LINES: usize = Self::SEGS * Self::ITERS as usize;
+}
+
+impl Workload for TwinCompute {
+    type Snap = ();
+    fn sample(&mut self, _r: &mut SmallRng) {}
+    fn segments(&self) -> usize {
+        Self::SEGS
+    }
+    fn segment<C: TxCtx>(&mut self, s: usize, ctx: &mut C) -> htm_sim::abort::TxResult<()> {
+        for i in 0..Self::ITERS {
+            let addr = self.base + ((s as u32) * Self::ITERS + i) * 8;
+            let v = ctx.read(addr)?;
+            ctx.work(Self::WORK)?;
             ctx.write(addr, v + 1)?;
         }
         Ok(())
@@ -346,23 +383,52 @@ pub fn run_scenario(name: &str, spec: &SchedSpec) -> Result<(VReport, String), S
         }
         "planner" => {
             let htm = HtmConfig {
-                l1_sets: 4,
-                l1_ways: 2,
+                l1_sets: 8,
+                l1_ways: 4,
                 read_lines_max: 24,
                 ..HtmConfig::tiny()
             };
-            let rt = TmRuntime::new(htm, TmConfig::default(), 2, (WideInc::LINES as usize) * 8);
-            let base = rt.app(0);
+            let lines = WideInc::LINES as usize;
+            let rt = TmRuntime::new(htm, TmConfig::default(), 2, 2 * lines * 8);
             let (r, rep) =
-                run_threads_virtual::<PartHtm, _, _>(&rt, 2, 4, spec.clone(), |_t| WideInc {
-                    base,
+                run_threads_virtual::<PartHtm, _, _>(&rt, 2, 4, spec.clone(), |t| WideInc {
+                    base: rt.app(t * lines * 8),
                 });
             let mut bad = Vec::new();
             if r.commits != 8 {
                 bad.push(format!("expected 8 commits, got {}", r.commits));
             }
-            let words: Vec<(usize, u64)> =
-                (0..WideInc::LINES as usize).map(|i| (i * 8, 8)).collect();
+            if r.tm.commits_subhtm == 0 {
+                bad.push("no transaction reached the partitioned path".to_string());
+            }
+            let words: Vec<(usize, u64)> = (0..2 * lines).map(|i| (i * 8, 4)).collect();
+            check_clean(&rt, &words, &mut bad);
+            finish(name, r, rep, bad)
+        }
+        "lockstep-retry" => {
+            const TXS: u64 = 4;
+            let lines = TwinCompute::LINES;
+            let tm = TmConfig {
+                skip_fast: true,
+                ..TmConfig::default()
+            };
+            let rt = TmRuntime::new(HtmConfig::default(), tm, 2, 2 * lines * 8);
+            let (r, rep) =
+                run_threads_virtual::<PartHtm, _, _>(&rt, 2, TXS as usize, spec.clone(), |t| {
+                    TwinCompute {
+                        base: rt.app(t * lines * 8),
+                    }
+                });
+            let mut bad = Vec::new();
+            if r.commits != 2 * TXS || r.tm.commits_subhtm != 2 * TXS {
+                bad.push(format!(
+                    "expected {} sub-HTM commits, got {} of {}",
+                    2 * TXS,
+                    r.tm.commits_subhtm,
+                    r.commits
+                ));
+            }
+            let words: Vec<(usize, u64)> = (0..2 * lines).map(|i| (i * 8, TXS)).collect();
             check_clean(&rt, &words, &mut bad);
             finish(name, r, rep, bad)
         }
@@ -799,12 +865,33 @@ mod tests {
     #[test]
     fn glock_entry_default_schedule_enters_under_the_lock() {
         let (_, digest) = run_scenario("glock-entry", &SchedSpec::default()).expect("glock-entry");
-        let count = |field: &str| -> u64 {
-            let tail = digest.split(&format!(" {field}: ")).nth(1).expect(field);
-            tail.split(',').next().unwrap().parse().expect(field)
-        };
-        assert!(count("glock_entry_aborts") > 0, "{digest}");
-        assert!(count("commits_htm") > 0, "{digest}");
+        assert!(digest_count(&digest, "glock_entry_aborts") > 0, "{digest}");
+        assert!(digest_count(&digest, "commits_htm") > 0, "{digest}");
+    }
+
+    /// The statistics counter `field` in a scenario digest.
+    fn digest_count(digest: &str, field: &str) -> u64 {
+        let tail = digest.split(&format!(" {field}: ")).nth(1).expect(field);
+        tail.split(',').next().unwrap().parse().expect(field)
+    }
+
+    /// `planner` reaches the segment planner under the default schedule:
+    /// merged groups commit and an overflowing merge splits.
+    #[test]
+    fn planner_default_schedule_merges_and_splits() {
+        let (_, digest) = run_scenario("planner", &SchedSpec::default()).expect("planner");
+        assert!(digest_count(&digest, "plan_merges") > 0, "{digest}");
+        assert!(digest_count(&digest, "plan_splits") > 0, "{digest}");
+    }
+
+    /// `lockstep-retry` is not vacuous under the default schedule: the twin
+    /// groups do collide on the shared `write_locks` line.
+    #[test]
+    fn lockstep_retry_default_schedule_collides() {
+        let (_, digest) =
+            run_scenario("lockstep-retry", &SchedSpec::default()).expect("lockstep-retry");
+        assert!(digest_count(&digest, "aborts_conflict") > 0, "{digest}");
+        assert_eq!(digest_count(&digest, "commits_gl"), 0, "{digest}");
     }
 
     #[test]

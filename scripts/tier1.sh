@@ -80,7 +80,7 @@ case "${1:-}" in
     # Complements the bounded-exhaustive gate above: 32 seeded schedules per
     # CI scenario reach interleavings past the exhaustive depth horizon.
     for s in counter2 planner futile-serialize glock-entry ring-epoch power-stretch \
-        server-batch; do
+        server-batch lockstep-retry; do
         ( ulimit -v 4194304; timeout 120 ./target/release/schedx \
             --scenario "$s" --seeds 32 )
     done
