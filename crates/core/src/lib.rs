@@ -27,6 +27,7 @@ pub mod api;
 pub mod ctx;
 pub mod opaque;
 pub mod parthtm;
+pub mod partitioned;
 pub mod planner;
 pub mod runtime;
 pub mod stats;
