@@ -9,52 +9,14 @@
 //! expressible here as `TmConfig { fast_retries: 1, .. }` on [`part_htm_core::PartHtm`],
 //! which the tests below demonstrate.
 
-use htm_sim::abort::TxResult;
-use part_htm_core::api::XABORT_GLOCK;
-use part_htm_core::parthtm::{fast_abort_charge, run_global_lock, wait_glock_released};
+use part_htm_core::parthtm::{
+    commit_global_lock, fast_abort_charge, try_pure_htm, wait_glock_released,
+};
 use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, Workload};
-
-use crate::htm_gl::PureHtmCtx;
 
 /// The HLE executor: one elided hardware attempt, then the lock.
 pub struct Hle<'r> {
     th: TmThread<'r>,
-}
-
-impl<'r> Hle<'r> {
-    fn try_elide<W: Workload>(&mut self, w: &mut W) -> TxResult<()> {
-        w.reset();
-        let glock = self.th.rt.glock();
-        let mut tx = self.th.hw.begin();
-        let body: TxResult<()> = 'b: {
-            // The elided lock is read (added to the read set) but not acquired —
-            // exactly HLE's semantics: the lock word stays "free" unless someone
-            // aborts and takes it for real, which then dooms all elisions.
-            match tx.read(glock) {
-                Ok(0) => {}
-                Ok(_) => break 'b Err(tx.xabort(XABORT_GLOCK)),
-                Err(e) => break 'b Err(e),
-            }
-            let mut ctx = PureHtmCtx { tx: &mut tx };
-            for seg in 0..w.segments() {
-                if let Err(e) = w.segment(seg, &mut ctx) {
-                    break 'b Err(e);
-                }
-            }
-            Ok(())
-        };
-        let res = match body {
-            Ok(()) => tx.commit(),
-            Err(code) => {
-                drop(tx);
-                Err(code)
-            }
-        };
-        if res.is_err() {
-            self.th.stats.fast_aborts += 1;
-        }
-        res
-    }
 }
 
 impl<'r> TmExecutor<'r> for Hle<'r> {
@@ -67,7 +29,11 @@ impl<'r> TmExecutor<'r> for Hle<'r> {
     fn execute<W: Workload>(&mut self, w: &mut W) -> CommitPath {
         if !w.is_irrevocable() {
             for attempt in 0.. {
-                match self.try_elide(w) {
+                // The elided lock is read (added to the read set) but not
+                // acquired — exactly HLE's semantics: the lock word stays
+                // "free" unless someone aborts and takes it for real, which
+                // then dooms all elisions.
+                match try_pure_htm(&mut self.th, w, false) {
                     Ok(()) => {
                         w.after_commit();
                         self.th.stats.record_commit(CommitPath::Htm);
@@ -85,11 +51,7 @@ impl<'r> TmExecutor<'r> for Hle<'r> {
                 }
             }
         }
-        self.th.stats.fallbacks_gl += 1;
-        run_global_lock(&self.th, w, false);
-        w.after_commit();
-        self.th.stats.record_commit(CommitPath::GlobalLock);
-        CommitPath::GlobalLock
+        commit_global_lock(&mut self.th, w, false)
     }
 
     fn thread(&self) -> &TmThread<'r> {
@@ -104,6 +66,7 @@ impl<'r> TmExecutor<'r> for Hle<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use htm_sim::abort::TxResult;
     use htm_sim::{Addr, HtmConfig};
     use part_htm_core::{PartHtm, TmConfig, TxCtx};
     use rand::rngs::SmallRng;

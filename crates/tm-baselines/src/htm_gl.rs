@@ -9,74 +9,16 @@
 //! lock held there costs no retry
 //! ([`fast_abort_charge`]).
 
-use htm_sim::abort::TxResult;
-use htm_sim::{Addr, HtmTx};
-use part_htm_core::api::{spin_work, XABORT_GLOCK};
-use part_htm_core::parthtm::{fast_abort_charge, run_global_lock, wait_glock_released};
-use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload};
+use part_htm_core::parthtm::{
+    commit_global_lock, fast_abort_charge, try_pure_htm, wait_glock_released,
+};
+use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, Workload};
 
-/// Completely uninstrumented hardware-transaction context: HTM-GL adds no software
-/// metadata at all — that is its appeal and its limitation.
-pub struct PureHtmCtx<'c, 'a, 's> {
-    /// The enclosing hardware transaction.
-    pub tx: &'c mut HtmTx<'a, 's>,
-}
-
-impl TxCtx for PureHtmCtx<'_, '_, '_> {
-    #[inline]
-    fn read(&mut self, addr: Addr) -> TxResult<u64> {
-        self.tx.read(addr)
-    }
-
-    #[inline]
-    fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-        self.tx.write(addr, val)
-    }
-
-    #[inline]
-    fn work(&mut self, units: u64) -> TxResult<()> {
-        self.tx.work(units)?;
-        spin_work(units);
-        Ok(())
-    }
-}
-
-/// The HTM-GL executor.
+/// The HTM-GL executor. Its hardware attempts are uninstrumented
+/// ([`try_pure_htm`]): HTM-GL adds no software metadata at all — that is its
+/// appeal and its limitation.
 pub struct HtmGl<'r> {
     th: TmThread<'r>,
-}
-
-impl<'r> HtmGl<'r> {
-    fn try_htm<W: Workload>(&mut self, w: &mut W) -> TxResult<()> {
-        w.reset();
-        let glock = self.th.rt.glock();
-        let mut tx = self.th.hw.begin();
-        let body: TxResult<()> = 'b: {
-            match tx.read(glock) {
-                Ok(0) => {}
-                Ok(_) => break 'b Err(tx.xabort(XABORT_GLOCK)),
-                Err(e) => break 'b Err(e),
-            }
-            let mut ctx = PureHtmCtx { tx: &mut tx };
-            for seg in 0..w.segments() {
-                if let Err(e) = w.segment(seg, &mut ctx) {
-                    break 'b Err(e);
-                }
-            }
-            Ok(())
-        };
-        let res = match body {
-            Ok(()) => tx.commit(),
-            Err(code) => {
-                drop(tx);
-                Err(code)
-            }
-        };
-        if res.is_err() {
-            self.th.stats.fast_aborts += 1;
-        }
-        res
-    }
 }
 
 impl<'r> TmExecutor<'r> for HtmGl<'r> {
@@ -93,7 +35,7 @@ impl<'r> TmExecutor<'r> for HtmGl<'r> {
         if !w.is_irrevocable() && retries > 0 {
             let mut fails = 0;
             for attempt in 0.. {
-                match self.try_htm(w) {
+                match try_pure_htm(&mut self.th, w, false) {
                     Ok(()) => {
                         w.after_commit();
                         self.th.stats.record_commit(CommitPath::Htm);
@@ -113,11 +55,7 @@ impl<'r> TmExecutor<'r> for HtmGl<'r> {
                 }
             }
         }
-        self.th.stats.fallbacks_gl += 1;
-        run_global_lock(&self.th, w, false);
-        w.after_commit();
-        self.th.stats.record_commit(CommitPath::GlobalLock);
-        CommitPath::GlobalLock
+        commit_global_lock(&mut self.th, w, false)
     }
 
     fn thread(&self) -> &TmThread<'r> {
@@ -132,8 +70,9 @@ impl<'r> TmExecutor<'r> for HtmGl<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htm_sim::HtmConfig;
-    use part_htm_core::TmConfig;
+    use htm_sim::abort::TxResult;
+    use htm_sim::{Addr, HtmConfig};
+    use part_htm_core::{TmConfig, TxCtx};
     use rand::rngs::SmallRng;
 
     struct Incr {

@@ -13,9 +13,9 @@
 use htm_sim::abort::TxResult;
 use htm_sim::{AbortCode, Addr};
 use part_htm_core::api::spin_work;
+use part_htm_core::ctx::RawCtx;
+use part_htm_core::parthtm::resolve;
 use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload};
-
-use crate::htm_gl::PureHtmCtx;
 use crate::norec::{validate, wait_even};
 use crate::redo::RedoLog;
 
@@ -89,7 +89,7 @@ impl<'r> NOrecRh<'r> {
             };
             let wbefore = tx.write_lines();
             {
-                let mut ctx = PureHtmCtx { tx: &mut tx };
+                let mut ctx = RawCtx { tx: &mut tx };
                 for seg in 0..w.segments() {
                     if let Err(e) = w.segment(seg, &mut ctx) {
                         break 'b Err(e);
@@ -103,13 +103,7 @@ impl<'r> NOrecRh<'r> {
             }
             Ok(())
         };
-        let res = match body {
-            Ok(()) => tx.commit(),
-            Err(code) => {
-                drop(tx);
-                Err(code)
-            }
-        };
+        let res = resolve(tx, body);
         if res.is_err() {
             self.th.stats.fast_aborts += 1;
         }

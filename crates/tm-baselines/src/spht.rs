@@ -25,10 +25,10 @@ use htm_sim::util::FastMap;
 use htm_sim::{AbortCode, Addr, HtmTx};
 use part_htm_core::api::{spin_work, XABORT_GLOCK};
 use part_htm_core::ctx::SoftwareCtx;
-use part_htm_core::parthtm::{fast_abort_charge, run_global_lock, wait_glock_released};
+use part_htm_core::parthtm::{
+    commit_global_lock, fast_abort_charge, resolve, subscribe, try_pure_htm, wait_glock_released,
+};
 use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload};
-
-use crate::htm_gl::PureHtmCtx;
 
 /// Explicit-abort payload: a logged read changed value between sub-transactions.
 const XABORT_INVALID: u8 = 0xB1;
@@ -92,37 +92,6 @@ pub struct SpHt<'r> {
 }
 
 impl<'r> SpHt<'r> {
-    fn try_htm<W: Workload>(&mut self, w: &mut W) -> TxResult<()> {
-        w.reset();
-        let glock = self.th.rt.glock();
-        let mut tx = self.th.hw.begin();
-        let body: TxResult<()> = 'b: {
-            match tx.read(glock) {
-                Ok(0) => {}
-                Ok(_) => break 'b Err(tx.xabort(XABORT_GLOCK)),
-                Err(e) => break 'b Err(e),
-            }
-            let mut ctx = PureHtmCtx { tx: &mut tx };
-            for seg in 0..w.segments() {
-                if let Err(e) = w.segment(seg, &mut ctx) {
-                    break 'b Err(e);
-                }
-            }
-            Ok(())
-        };
-        let res = match body {
-            Ok(()) => tx.commit(),
-            Err(code) => {
-                drop(tx);
-                Err(code)
-            }
-        };
-        if res.is_err() {
-            self.th.stats.fast_aborts += 1;
-        }
-        res
-    }
-
     /// One attempt of the split path. `Err(())` aborts the whole transaction
     /// (memory is already pristine — writes were hidden).
     fn try_split<W: Workload>(&mut self, w: &mut W) -> Result<(), ()> {
@@ -162,10 +131,8 @@ impl<'r> SpHt<'r> {
                     // Subscribe the global lock (the split path has no active_tx
                     // handshake: between segments a split transaction holds no
                     // visible state, so the slow path never has to wait for it).
-                    match tx.read(glock) {
-                        Ok(0) => {}
-                        Ok(_) => break 'b Err(tx.xabort(XABORT_GLOCK)),
-                        Err(e) => break 'b Err(e),
+                    if let Err(e) = subscribe(&mut tx, glock, XABORT_GLOCK) {
+                        break 'b Err(e);
                     }
                     // Revalidate every logged read (isolation across the gap).
                     for &(a, v) in &self.logs.reads {
@@ -199,14 +166,7 @@ impl<'r> SpHt<'r> {
                     }
                     Ok(())
                 };
-                let res = match body {
-                    Ok(()) => tx.commit(),
-                    Err(code) => {
-                        drop(tx);
-                        Err(code)
-                    }
-                };
-                match res {
+                match resolve(tx, body) {
                     Ok(()) => break,
                     Err(code) => {
                         self.th.stats.sub_aborts += 1;
@@ -241,16 +201,12 @@ impl<'r> TmExecutor<'r> for SpHt<'r> {
     fn execute<W: Workload>(&mut self, w: &mut W) -> CommitPath {
         let cfg = self.th.rt.config().clone();
         if w.is_irrevocable() {
-            self.th.stats.fallbacks_gl += 1;
-            run_global_lock(&self.th, w, false);
-            w.after_commit();
-            self.th.stats.record_commit(CommitPath::GlobalLock);
-            return CommitPath::GlobalLock;
+            return commit_global_lock(&mut self.th, w, false);
         }
         if !cfg.skip_fast && w.profiled_resource_limited() != Some(true) {
             let mut fails = 0;
             for attempt in 0.. {
-                match self.try_htm(w) {
+                match try_pure_htm(&mut self.th, w, false) {
                     Ok(()) => {
                         w.after_commit();
                         self.th.stats.record_commit(CommitPath::Htm);
@@ -265,11 +221,7 @@ impl<'r> TmExecutor<'r> for SpHt<'r> {
                     Err(code) => {
                         fails += fast_abort_charge(&mut self.th, attempt, code);
                         if fails >= cfg.fast_retries {
-                            self.th.stats.fallbacks_gl += 1;
-                            run_global_lock(&self.th, w, false);
-                            w.after_commit();
-                            self.th.stats.record_commit(CommitPath::GlobalLock);
-                            return CommitPath::GlobalLock;
+                            return commit_global_lock(&mut self.th, w, false);
                         }
                         wait_glock_released(&self.th);
                     }
@@ -286,11 +238,7 @@ impl<'r> TmExecutor<'r> for SpHt<'r> {
             }
             gfails += 1;
             if gfails >= cfg.part_retries {
-                self.th.stats.fallbacks_gl += 1;
-                run_global_lock(&self.th, w, false);
-                w.after_commit();
-                self.th.stats.record_commit(CommitPath::GlobalLock);
-                return CommitPath::GlobalLock;
+                return commit_global_lock(&mut self.th, w, false);
             }
             spin_work(cfg.backoff_units << gfails.min(6));
             htm_sim::vclock::yield_now();
