@@ -50,12 +50,6 @@ pub struct TmConfig {
     /// with the fixed legacy threshold — the `ring_shards: 1` differential
     /// oracles set this to keep the pre-epoch behaviour exact.
     pub summary_epochs: bool,
-    /// Density threshold numerator: a shard summary wants a reset once more
-    /// than `num/den` of its live bits are set. Initial value of the adaptive
-    /// controller (which only moves it when `summary_epochs` is on).
-    pub summary_density_num: u32,
-    /// Density threshold denominator.
-    pub summary_density_den: u32,
     /// Publishes between summary density checks (controller initial value).
     pub summary_check_interval: u64,
     /// Route the signature hot loops through the original scalar word loops
@@ -98,8 +92,6 @@ impl Default for TmConfig {
             undo_words: 16 * 1024,
             backoff_units: 64,
             summary_epochs: true,
-            summary_density_num: 1,
-            summary_density_den: 3,
             summary_check_interval: 256,
             scalar_kernels: false,
             adaptive_plan: true,
@@ -110,7 +102,8 @@ impl Default for TmConfig {
 
 impl TmConfig {
     /// The [`SummaryTuning`] this configuration selects for every shard
-    /// summary.
+    /// summary. The density threshold starts at tm-sig's default (1/3 of the
+    /// live bits, [`SummaryTuning::default`]).
     pub fn summary_tuning(&self) -> SummaryTuning {
         SummaryTuning {
             mode: if self.summary_epochs {
@@ -118,9 +111,8 @@ impl TmConfig {
             } else {
                 ResetMode::Seqlock
             },
-            density_num: self.summary_density_num,
-            density_den: self.summary_density_den,
             check_interval: self.summary_check_interval,
+            ..SummaryTuning::default()
         }
     }
 }
