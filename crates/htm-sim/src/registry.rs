@@ -127,7 +127,7 @@ impl TxRegistry {
     /// the simulator flattens nesting at a higher level, like TSX does.
     pub fn begin(&self, t: ThreadId) {
         let prev = self.slots[t as usize].swap(TxStatus::Active as u8, Ordering::SeqCst);
-        debug_assert_eq!(
+        assert_eq!(
             prev,
             TxStatus::Inactive as u8,
             "nested hardware begin on thread {t}"
